@@ -7,31 +7,16 @@
 //   * LR linear scaling off in the substrate (the §3.3.2 motivation).
 //
 // Run on a 32-GPU cluster with a contended trace (smaller than Fig 15 to
-// keep the 7-variant sweep quick), through the src/exp orchestrator
-// (--threads / --seeds / --no-cache). Each variant's OnesConfig tweak is
-// not part of the serialized spec, so its label doubles as the RunSpec
-// `variant` cache-key tag.
+// keep the 7-row sweep quick), through the src/exp orchestrator
+// (--threads / --seeds / --no-cache). Every row is a typed OnesConfig (plus
+// a sim config), so each one keys its own cache entries.
 #include <cstdio>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "harness.hpp"
 
 using namespace ones;
-
-namespace {
-
-/// ONES with the checkpoint mechanism instead of elastic scaling.
-class CheckpointOnes : public core::OnesScheduler {
- public:
-  explicit CheckpointOnes(const core::OnesConfig& cfg) : core::OnesScheduler(cfg) {}
-  std::string name() const override { return "ONES-ckpt"; }
-  sched::ScalingMechanism mechanism() const override {
-    return sched::ScalingMechanism::Checkpoint;
-  }
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const auto opt = exp::parse_bench_cli(argc, argv);
@@ -41,75 +26,29 @@ int main(int argc, char** argv) {
   std::printf("ONES ablations: %d jobs on 32 GPUs\n\n", trace_config.num_jobs);
   std::printf("%-16s %s\n", "variant", telemetry::format_summary_header().c_str());
 
-  struct Variant {
+  struct Row {
     const char* label;
     core::OnesConfig cfg;
-    bool checkpoint = false;
+    sched::SimulationConfig sim;
   };
-  std::vector<Variant> variants;
-  variants.push_back({"full", {}, false});
-  {
-    Variant v{"no-crossover", {}, false};
-    v.cfg.evolution.use_crossover = false;
-    variants.push_back(v);
-  }
-  {
-    Variant v{"no-mutation", {}, false};
-    v.cfg.evolution.use_mutation = false;
-    variants.push_back(v);
-  }
-  {
-    Variant v{"no-reorder", {}, false};
-    v.cfg.evolution.use_reorder = false;
-    variants.push_back(v);
-  }
-  {
-    Variant v{"no-predictor", {}, false};
-    v.cfg.use_predictor = false;
-    variants.push_back(v);
-  }
-  variants.push_back({"ckpt-mechanism", {}, true});
+  std::vector<Row> rows(7, Row{"full", {}, config});
+  rows[1].label = "no-crossover";
+  rows[1].cfg.evolution.use_crossover = false;
+  rows[2].label = "no-mutation";
+  rows[2].cfg.evolution.use_mutation = false;
+  rows[3].label = "no-reorder";
+  rows[3].cfg.evolution.use_reorder = false;
+  rows[4].label = "no-predictor";
+  rows[4].cfg.use_predictor = false;
+  rows[5].label = "ckpt-mechanism";
+  rows[5].cfg.mechanism = sched::ScalingMechanism::Checkpoint;
+  // The substrate-side ablation: default ONES on a sim without LR scaling.
+  rows[6].label = "no-lr-scaling";
+  rows[6].sim.convergence.lr_linear_scaling = false;
 
-  // One grid row per (variant, seed); the substrate-side no-lr-scaling
-  // ablation rides along as an extra row with a modified sim config.
-  std::vector<bench::NamedFactory> factories;
   std::vector<exp::RunSpec> specs;
-  for (const auto& variant : variants) {
-    const auto cfg = variant.cfg;
-    exp::SchedulerFactory make;
-    if (variant.checkpoint) {
-      make = [cfg]() -> std::unique_ptr<sched::Scheduler> {
-        return std::make_unique<CheckpointOnes>(cfg);
-      };
-    } else {
-      make = [cfg]() -> std::unique_ptr<sched::Scheduler> {
-        return std::make_unique<core::OnesScheduler>(cfg);
-      };
-    }
-    for (int k = 0; k < opt.seeds; ++k) {
-      exp::RunSpec spec;
-      spec.scheduler = variant.checkpoint ? "ONES-ckpt" : "ONES";
-      spec.variant = variant.label;
-      spec.sim = config;
-      spec.trace = trace_config;
-      spec.trace.seed = trace_config.seed + static_cast<std::uint64_t>(k);
-      spec.factory = make;
-      specs.push_back(std::move(spec));
-    }
-  }
-  {
-    auto no_lr_config = config;
-    no_lr_config.convergence.lr_linear_scaling = false;
-    for (int k = 0; k < opt.seeds; ++k) {
-      exp::RunSpec spec;
-      spec.scheduler = "ONES";
-      spec.variant = "no-lr-scaling";
-      spec.sim = no_lr_config;
-      spec.trace = trace_config;
-      spec.trace.seed = trace_config.seed + static_cast<std::uint64_t>(k);
-      spec.factory = [] { return std::make_unique<core::OnesScheduler>(); };
-      specs.push_back(std::move(spec));
-    }
+  for (const auto& row : rows) {
+    bench::add_seed_block(specs, row.cfg, row.sim, trace_config, opt.seeds);
   }
 
   telemetry::MetricsRegistry bench_registry;
@@ -118,27 +57,19 @@ int main(int argc, char** argv) {
   if (!grid.prof_dir.empty()) grid.prof = &report.profile();
 
   const auto runs = exp::run_grid(specs, grid);
-  const std::size_t n_rows = variants.size() + 1;
-  const auto pooled = bench::pool_by_factory(runs, n_rows, opt.seeds);
+  const auto pooled = bench::pool_by_row(runs, rows.size(), opt.seeds);
 
-  std::vector<const char*> labels;
-  for (const auto& variant : variants) labels.push_back(variant.label);
-  labels.push_back("no-lr-scaling");
-
-  double full_jct = 0.0;
-  std::vector<std::pair<std::string, double>> rows;
-  for (std::size_t i = 0; i < n_rows; ++i) {
-    std::printf("%-16s %s\n", labels[i],
+  const double full_jct = pooled[0].summary.avg_jct;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::printf("%-16s %s\n", rows[i].label,
                 telemetry::format_summary_row(pooled[i].summary).c_str());
-    if (std::string(labels[i]) == "full") full_jct = pooled[i].summary.avg_jct;
-    rows.emplace_back(labels[i], pooled[i].summary.avg_jct);
-    report.metric(std::string("avg_jct.") + labels[i], pooled[i].summary.avg_jct);
+    report.metric(std::string("avg_jct.") + rows[i].label, pooled[i].summary.avg_jct);
   }
 
   std::printf("\nAverage-JCT change vs the full configuration:\n");
-  for (const auto& [label, jct] : rows) {
-    if (label == "full") continue;
-    std::printf("  %-16s %+7.1f%%\n", label.c_str(), 100.0 * (jct - full_jct) / full_jct);
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    const double jct = pooled[i].summary.avg_jct;
+    std::printf("  %-16s %+7.1f%%\n", rows[i].label, 100.0 * (jct - full_jct) / full_jct);
   }
   report.cache_stats_from(bench_registry);
   bench::print_cache_footer(bench_registry);

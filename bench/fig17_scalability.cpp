@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,35 +35,35 @@ int run_paper(const exp::BenchOptions& opt, bench::BenchReport& report) {
   std::printf("Figures 17/18: scalability, %d jobs, cluster capacity 16..64 GPUs\n",
               trace_config.num_jobs);
 
-  const auto factories = bench::paper_factories();
-  std::vector<std::string> order;
-  for (const auto& f : factories) order.push_back(f.name);
+  const auto schedulers = bench::paper_schedulers();
 
   telemetry::MetricsRegistry bench_registry;
   exp::GridOptions grid = opt.grid;
   grid.registry = &bench_registry;
   if (!grid.prof_dir.empty()) grid.prof = &report.profile();
 
-  // Grid layout: capacity-major, then (factory-major, seed-minor) per
+  // Grid layout: capacity-major, then (scheduler-major, seed-minor) per
   // capacity — the seed_grid slices concatenate in node_counts order.
   std::vector<exp::RunSpec> specs;
   for (int nodes : node_counts) {
-    const auto capacity_specs = bench::seed_grid(factories, bench::paper_sim_config(nodes),
+    const auto capacity_specs = bench::seed_grid(schedulers, bench::paper_sim_config(nodes),
                                                  trace_config, opt.seeds);
     specs.insert(specs.end(), capacity_specs.begin(), capacity_specs.end());
   }
   const auto runs = exp::run_grid(specs, grid);
 
   // scheduler -> per-capacity summaries, pooled over seeds
+  std::vector<std::string> order;
   std::map<std::string, std::vector<telemetry::Summary>> table;
-  const std::size_t per_capacity = factories.size() * static_cast<std::size_t>(opt.seeds);
+  const std::size_t per_capacity = schedulers.size() * static_cast<std::size_t>(opt.seeds);
   for (std::size_t c = 0; c < node_counts.size(); ++c) {
     const auto first = runs.begin() + static_cast<std::ptrdiff_t>(c * per_capacity);
-    const auto pooled = bench::pool_by_factory(
+    const auto pooled = bench::pool_by_row(
         std::vector<bench::RunResult>(first, first + static_cast<std::ptrdiff_t>(per_capacity)),
-        factories.size(), opt.seeds);
-    for (std::size_t f = 0; f < factories.size(); ++f) {
-      table[order[f]].push_back(pooled[f].summary);
+        schedulers.size(), opt.seeds);
+    for (const auto& row : pooled) {
+      if (c == 0) order.push_back(row.summary.scheduler);
+      table[row.summary.scheduler].push_back(row.summary);
     }
   }
 
@@ -156,11 +155,8 @@ int run_hyperscale(const exp::BenchOptions& opt, bench::BenchReport& report) {
   const std::vector<Tier> tiers = {
       {250, 10000, 18.0}, {1000, 40000, 4.5}, {2500, 100000, 1.8}};
 
-  std::vector<bench::NamedFactory> factories;
-  factories.push_back(
-      {"FIFO", [] { return std::make_unique<sched::FifoScheduler>(false); }});
-  factories.push_back(
-      {"FIFO-BF", [] { return std::make_unique<sched::FifoScheduler>(true); }});
+  const std::vector<exp::SchedulerSpec> schedulers = {exp::FifoConfig{false},
+                                                      exp::FifoConfig{true}};
 
   std::printf(
       "Hyperscale scalability: calendar-queue engine stress, 1,000..10,000 GPUs\n");
@@ -170,7 +166,7 @@ int run_hyperscale(const exp::BenchOptions& opt, bench::BenchReport& report) {
   grid.registry = &bench_registry;
   if (!grid.prof_dir.empty()) grid.prof = &report.profile();
 
-  const std::size_t per_tier = factories.size() * static_cast<std::size_t>(opt.seeds);
+  const std::size_t per_tier = schedulers.size() * static_cast<std::size_t>(opt.seeds);
   double prev_executed = 0.0;
   std::vector<std::uint64_t> tier_events;
   bool all_complete = true;
@@ -182,7 +178,7 @@ int run_hyperscale(const exp::BenchOptions& opt, bench::BenchReport& report) {
     trace.max_requested_gpus = 8;
     trace.diurnal_amplitude = 0.3;
 
-    const auto specs = bench::seed_grid(factories, sim, trace, opt.seeds);
+    const auto specs = bench::seed_grid(schedulers, sim, trace, opt.seeds);
     bench::WallClock clock;
     const auto runs = exp::run_grid(specs, grid);
     const double wall_s = clock.seconds();
@@ -196,7 +192,7 @@ int run_hyperscale(const exp::BenchOptions& opt, bench::BenchReport& report) {
                 "avg JCT (s)", "makespan (s)", "util", "events", "deployments");
     std::uint64_t events_total = 0;
     std::uint64_t decisions_total = 0;
-    for (std::size_t f = 0; f < factories.size(); ++f) {
+    for (std::size_t f = 0; f < schedulers.size(); ++f) {
       const auto first = runs.begin() + static_cast<std::ptrdiff_t>(
                                             f * static_cast<std::size_t>(opt.seeds));
       const std::vector<bench::RunResult> slice(first, first + opt.seeds);
@@ -213,7 +209,7 @@ int run_hyperscale(const exp::BenchOptions& opt, bench::BenchReport& report) {
       events_total += events;
       decisions_total += deployments;
       std::printf("  %-10s %10zu %12.1f %14.1f %8.4f %14llu %12llu\n",
-                  factories[f].name.c_str(), completed, pooled.summary.avg_jct,
+                  pooled.summary.scheduler.c_str(), completed, pooled.summary.avg_jct,
                   pooled.summary.makespan, pooled.summary.utilization,
                   static_cast<unsigned long long>(events),
                   static_cast<unsigned long long>(deployments));

@@ -1,6 +1,6 @@
 // Shared helpers for the reproduction benches: the paper's evaluation
 // configuration (64-GPU Longhorn-like cluster, Table 2 trace), scheduler
-// factories for the orchestrated grid runner (src/exp), and a wall-clock
+// grids for the orchestrated runner (src/exp), and a wall-clock
 // timer every bench prints on exit.
 #pragma once
 
@@ -10,7 +10,6 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -103,82 +102,52 @@ inline RunResult run_one(const sched::SimulationConfig& config,
   return exp::run_simulation(config, trace, scheduler);
 }
 
-/// A named scheduler factory for grid specs. Every run gets a FRESH
-/// scheduler instance (parallel runs must not share mutable policy state).
-struct NamedFactory {
-  std::string name;
-  exp::SchedulerFactory make;
-};
-
-/// The DRL baseline trains lazily on first instantiation (thread-safe), so a
-/// fully-cached grid never pays the offline training phase. Evaluation runs
-/// copy the trained prototype.
-inline exp::SchedulerFactory drl_factory() {
-  auto proto = std::make_shared<drl::DrlScheduler>();
-  auto once = std::make_shared<std::once_flag>();
-  return [proto, once]() -> std::unique_ptr<sched::Scheduler> {
-    std::call_once(*once, [&proto] {
-      std::fprintf(stderr, "[setup] training the DRL baseline policy offline...\n");
-      std::fflush(stderr);
-      proto->train();
-    });
-    return std::make_unique<drl::DrlScheduler>(*proto);
-  };
-}
-
 /// The four schedulers of the paper's evaluation (Table 3), in figure order.
-inline std::vector<NamedFactory> paper_factories() {
-  std::vector<NamedFactory> f;
-  f.push_back({core::OnesScheduler().name(),
-               [] { return std::make_unique<core::OnesScheduler>(); }});
-  f.push_back({drl::DrlScheduler().name(), drl_factory()});
-  f.push_back({sched::TiresiasScheduler().name(),
-               [] { return std::make_unique<sched::TiresiasScheduler>(); }});
-  f.push_back({sched::OptimusScheduler().name(),
-               [] { return std::make_unique<sched::OptimusScheduler>(); }});
-  return f;
+inline std::vector<exp::SchedulerSpec> paper_schedulers() {
+  return {core::OnesConfig{}, drl::DrlConfig{}, sched::TiresiasConfig{},
+          sched::OptimusConfig{}};
 }
 
 /// Paper four plus the FIFO / SRTF-oracle reference points.
-inline std::vector<NamedFactory> all_factories() {
-  auto f = paper_factories();
-  f.push_back({sched::FifoScheduler().name(),
-               [] { return std::make_unique<sched::FifoScheduler>(); }});
-  f.push_back({sched::SrtfOracleScheduler().name(),
-               [] { return std::make_unique<sched::SrtfOracleScheduler>(); }});
-  return f;
+inline std::vector<exp::SchedulerSpec> all_schedulers() {
+  auto s = paper_schedulers();
+  s.insert(s.end(), {exp::FifoConfig{}, exp::SrtfConfig{}});
+  return s;
 }
 
-/// Build the (factory-major, seed-minor) grid over seeds base..base+K-1 of
-/// `trace`: the canonical layout the heavy benches share. Run i*K+k holds
-/// factory i at seed k, so slices of K runs pool into one per-scheduler row.
-inline std::vector<exp::RunSpec> seed_grid(const std::vector<NamedFactory>& factories,
+/// Append one configuration's replicas over seeds base..base+K-1 of
+/// `trace`: the seed-minor block every heavy bench's grid is made of.
+inline void add_seed_block(std::vector<exp::RunSpec>& specs,
+                           const exp::SchedulerSpec& scheduler,
+                           const sched::SimulationConfig& sim,
+                           const workload::TraceConfig& trace, int seeds) {
+  for (int k = 0; k < seeds; ++k) {
+    exp::RunSpec spec{scheduler, sim, trace};
+    spec.trace.seed = trace.seed + static_cast<std::uint64_t>(k);
+    specs.push_back(std::move(spec));
+  }
+}
+
+/// Build the (scheduler-major, seed-minor) grid: the canonical layout the
+/// heavy benches share. Run i*K+k holds scheduler i at seed k, so slices of
+/// K runs pool into one per-scheduler row.
+inline std::vector<exp::RunSpec> seed_grid(const std::vector<exp::SchedulerSpec>& schedulers,
                                            const sched::SimulationConfig& sim,
                                            const workload::TraceConfig& trace,
                                            int seeds) {
   std::vector<exp::RunSpec> specs;
-  specs.reserve(factories.size() * static_cast<std::size_t>(seeds));
-  for (const auto& f : factories) {
-    for (int k = 0; k < seeds; ++k) {
-      exp::RunSpec spec;
-      spec.scheduler = f.name;
-      spec.sim = sim;
-      spec.trace = trace;
-      spec.trace.seed = trace.seed + static_cast<std::uint64_t>(k);
-      spec.factory = f.make;
-      specs.push_back(std::move(spec));
-    }
-  }
+  specs.reserve(schedulers.size() * static_cast<std::size_t>(seeds));
+  for (const auto& s : schedulers) add_seed_block(specs, s, sim, trace, seeds);
   return specs;
 }
 
-/// Pool each factory's seed-replicas out of a seed_grid result: returns one
-/// RunResult per factory, in factory order.
-inline std::vector<RunResult> pool_by_factory(const std::vector<RunResult>& runs,
-                                              std::size_t n_factories, int seeds) {
+/// Pool each row's seed-replicas out of a seed-minor grid result: returns
+/// one RunResult per row, in row order.
+inline std::vector<RunResult> pool_by_row(const std::vector<RunResult>& runs,
+                                          std::size_t n_rows, int seeds) {
   std::vector<RunResult> pooled;
-  pooled.reserve(n_factories);
-  for (std::size_t i = 0; i < n_factories; ++i) {
+  pooled.reserve(n_rows);
+  for (std::size_t i = 0; i < n_rows; ++i) {
     const auto first = runs.begin() + static_cast<std::ptrdiff_t>(i * seeds);
     pooled.push_back(exp::pool_runs(std::vector<RunResult>(first, first + seeds)));
   }

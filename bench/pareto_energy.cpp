@@ -6,16 +6,14 @@
 // lightly-loaded 32-GPU trace, through the src/exp orchestrator (--threads /
 // --seeds / --no-cache / --trace-dir / --metrics-dir). Prints one summary
 // row per configuration plus the non-dominated (avg JCT, cluster joules)
-// Pareto frontier. lambda_energy is not part of the serialized spec, so each
-// λ's label doubles as the RunSpec `variant` cache-key tag (DESIGN.md §6);
-// stdout is byte-identical for any --threads value.
+// Pareto frontier. Every λ is a typed OnesConfig, so each keys its own
+// cache entries (DESIGN.md §6); stdout is byte-identical for any --threads
+// value.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "harness.hpp"
-#include "sched/powercap.hpp"
 
 using namespace ones;
 
@@ -37,53 +35,26 @@ int main(int argc, char** argv) {
       config.power.comm_power_fraction);
 
   struct Config {
-    std::string label;     ///< row label; doubles as the variant tag
-    std::string scheduler; ///< RunSpec::scheduler (display name)
-    std::string variant;   ///< RunSpec::variant (cache-key tag)
-    exp::SchedulerFactory make;
+    std::string label;  ///< display-only row label
+    exp::SchedulerSpec scheduler;
   };
   std::vector<Config> grid_configs;
-  // ONES λ sweep. λ=0 is the paper's pure-SRUF objective; every λ gets a
-  // variant tag (including 0) so the sweep's cache entries never alias.
+  // ONES λ sweep. λ=0 is the paper's pure-SRUF objective.
   for (const double lam : {0.0, 0.25, 1.0, 4.0}) {
     core::OnesConfig cfg;
     cfg.evolution.lambda_energy = lam;
     char label[32];
     std::snprintf(label, sizeof(label), "ONES-lam%g", lam);
-    grid_configs.push_back({label, "ONES", label + 5,
-                            [cfg]() -> std::unique_ptr<sched::Scheduler> {
-                              return std::make_unique<core::OnesScheduler>(cfg);
-                            }});
+    grid_configs.push_back({label, cfg});
   }
-  grid_configs.push_back({"PowerCap-70", "PowerCap", "cap0.7",
-                          []() -> std::unique_ptr<sched::Scheduler> {
-                            return std::make_unique<sched::PowerCapScheduler>();
-                          }});
-  grid_configs.push_back({"Optimus", "Optimus", "",
-                          []() -> std::unique_ptr<sched::Scheduler> {
-                            return std::make_unique<sched::OptimusScheduler>();
-                          }});
-  grid_configs.push_back({"Tiresias", "Tiresias", "",
-                          []() -> std::unique_ptr<sched::Scheduler> {
-                            return std::make_unique<sched::TiresiasScheduler>();
-                          }});
-  grid_configs.push_back({"FIFO", "FIFO", "",
-                          []() -> std::unique_ptr<sched::Scheduler> {
-                            return std::make_unique<sched::FifoScheduler>();
-                          }});
+  grid_configs.push_back({"PowerCap-70", sched::PowerCapConfig{}});
+  grid_configs.push_back({"Optimus", sched::OptimusConfig{}});
+  grid_configs.push_back({"Tiresias", sched::TiresiasConfig{}});
+  grid_configs.push_back({"FIFO", exp::FifoConfig{}});
 
   std::vector<exp::RunSpec> specs;
   for (const auto& c : grid_configs) {
-    for (int k = 0; k < opt.seeds; ++k) {
-      exp::RunSpec spec;
-      spec.scheduler = c.scheduler;
-      spec.variant = c.variant;
-      spec.sim = config;
-      spec.trace = trace_config;
-      spec.trace.seed = trace_config.seed + static_cast<std::uint64_t>(k);
-      spec.factory = c.make;
-      specs.push_back(std::move(spec));
-    }
+    bench::add_seed_block(specs, c.scheduler, config, trace_config, opt.seeds);
   }
 
   telemetry::MetricsRegistry bench_registry;
@@ -92,7 +63,7 @@ int main(int argc, char** argv) {
   if (!grid.prof_dir.empty()) grid.prof = &report.profile();
 
   const auto runs = exp::run_grid(specs, grid);
-  const auto pooled = bench::pool_by_factory(runs, grid_configs.size(), opt.seeds);
+  const auto pooled = bench::pool_by_row(runs, grid_configs.size(), opt.seeds);
 
   std::printf("%-14s %s\n", "config", telemetry::format_summary_header().c_str());
   for (std::size_t i = 0; i < pooled.size(); ++i) {

@@ -5,9 +5,9 @@
 // Sweeps deterministic fault regimes — transient GPU faults, node crashes,
 // spot reclaims and the checkpoint-interval knob — against every scheduler
 // through the src/exp orchestrator (--threads / --seeds / --no-cache /
-// --trace-dir / --metrics-dir). Each fault point tags RunSpec::variant, and
-// the FaultConfig itself is cache-key material (schema v4), so swept points
-// never alias in the cache; stdout is byte-identical for any --threads.
+// --trace-dir / --metrics-dir). The FaultConfig is cache-key material, so
+// swept points never alias in the cache; stdout is byte-identical for any
+// --threads.
 //
 // A final serial ONES run under the heavy-fault regime checks that the
 // progress predictor — which skips aborted jobs' truncated histories — still
@@ -68,27 +68,17 @@ int main(int argc, char** argv) {
     points.push_back({"ckpt-never", f});
   }
 
-  const auto factories = bench::all_factories();
+  const auto schedulers = bench::all_schedulers();
   std::vector<exp::RunSpec> specs;
-  specs.reserve(points.size() * factories.size() * static_cast<std::size_t>(opt.seeds));
   for (const auto& p : points) {
-    for (const auto& f : factories) {
-      for (int k = 0; k < opt.seeds; ++k) {
-        exp::RunSpec spec;
-        spec.scheduler = f.name;
-        spec.variant = "fault-" + p.label;
-        spec.sim = config;
-        spec.sim.fault = p.fault;
-        spec.trace = trace_config;
-        spec.trace.seed = trace_config.seed + static_cast<std::uint64_t>(k);
-        spec.factory = f.make;
-        specs.push_back(std::move(spec));
-      }
-    }
+    auto sim = config;
+    sim.fault = p.fault;
+    const auto point_specs = bench::seed_grid(schedulers, sim, trace_config, opt.seeds);
+    specs.insert(specs.end(), point_specs.begin(), point_specs.end());
   }
 
   std::printf("Chaos sweep: %d jobs on 32 GPUs, %zu fault regimes x %zu schedulers\n",
-              trace_config.num_jobs, points.size(), factories.size());
+              trace_config.num_jobs, points.size(), schedulers.size());
   std::printf("recovery policy: checkpoint every %.0f s (default), backoff %.0f s, "
               "max %d restarts\n\n",
               cluster::FaultConfig{}.checkpoint_interval_s,
@@ -104,29 +94,27 @@ int main(int argc, char** argv) {
               "lost", "avgJCT", "p90JCT", "util");
   bool ones_still_ahead = true;
   bool tight_no_worse = true;
-  const std::size_t per_point = factories.size() * static_cast<std::size_t>(opt.seeds);
+  const std::size_t per_point = schedulers.size() * static_cast<std::size_t>(opt.seeds);
   std::vector<std::vector<exp::RunResult>> pooled_by_point;
   for (std::size_t pi = 0; pi < points.size(); ++pi) {
     const auto first = runs.begin() + static_cast<std::ptrdiff_t>(pi * per_point);
     const std::vector<exp::RunResult> slice(
         first, first + static_cast<std::ptrdiff_t>(per_point));
-    auto pooled = bench::pool_by_factory(slice, factories.size(), opt.seeds);
+    auto pooled = bench::pool_by_row(slice, schedulers.size(), opt.seeds);
     double ones_jct = 0.0, tiresias_jct = 0.0;
-    for (std::size_t fi = 0; fi < factories.size(); ++fi) {
-      const auto& s = pooled[fi].summary;
+    for (const auto& row : pooled) {
+      const auto& s = row.summary;
       const std::size_t jobs_total =
           static_cast<std::size_t>(trace_config.num_jobs) *
           static_cast<std::size_t>(opt.seeds);
       std::printf("%-10s %-10s %6zu %6zu %10.1f %10.1f %5.1f%%\n",
-                  points[pi].label.c_str(), factories[fi].name.c_str(),
-                  pooled[fi].completed, jobs_total - pooled[fi].completed, s.avg_jct,
-                  s.p90_jct, 100.0 * s.utilization);
-      if (factories[fi].name == "ONES") ones_jct = s.avg_jct;
-      if (factories[fi].name == "Tiresias") tiresias_jct = s.avg_jct;
-      report.metric("avg_jct." + factories[fi].name + "." + points[pi].label,
-                    s.avg_jct);
-      report.metric("completed." + factories[fi].name + "." + points[pi].label,
-                    static_cast<double>(pooled[fi].completed));
+                  points[pi].label.c_str(), s.scheduler.c_str(), row.completed,
+                  jobs_total - row.completed, s.avg_jct, s.p90_jct, 100.0 * s.utilization);
+      if (s.scheduler == "ONES") ones_jct = s.avg_jct;
+      if (s.scheduler == "Tiresias") tiresias_jct = s.avg_jct;
+      report.metric("avg_jct." + s.scheduler + "." + points[pi].label, s.avg_jct);
+      report.metric("completed." + s.scheduler + "." + points[pi].label,
+                    static_cast<double>(row.completed));
     }
     if (ones_jct > tiresias_jct) ones_still_ahead = false;
     pooled_by_point.push_back(std::move(pooled));
@@ -135,8 +123,8 @@ int main(int argc, char** argv) {
   // Tight checkpoints lose less work than loose ones under the same fault
   // schedule for the checkpoint-mechanism baseline (the model charges no
   // per-checkpoint overhead, so shorter intervals are strictly no worse).
-  for (std::size_t fi = 0; fi < factories.size(); ++fi) {
-    if (factories[fi].name != "Tiresias") continue;
+  for (std::size_t fi = 0; fi < schedulers.size(); ++fi) {
+    if (pooled_by_point[5][fi].summary.scheduler != "Tiresias") continue;
     const double tight = pooled_by_point[5][fi].summary.avg_jct;
     const double loose = pooled_by_point[6][fi].summary.avg_jct;
     if (tight > loose) tight_no_worse = false;

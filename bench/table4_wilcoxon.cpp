@@ -31,10 +31,10 @@ int main(int argc, char** argv) {
   grid.registry = &bench_registry;
   if (!grid.prof_dir.empty()) grid.prof = &report.profile();
 
-  const auto factories = bench::paper_factories();
-  const auto specs = bench::seed_grid(factories, config, trace_config, opt.seeds);
+  const auto schedulers = bench::paper_schedulers();
+  const auto specs = bench::seed_grid(schedulers, config, trace_config, opt.seeds);
   const auto runs = exp::run_grid(specs, grid);
-  const auto results = bench::pool_by_factory(runs, factories.size(), opt.seeds);
+  const auto results = bench::pool_by_row(runs, schedulers.size(), opt.seeds);
 
   std::printf("\n%-14s %24s %30s\n", "", "p value (two-sided)", "p value (one-sided negative)");
   bool all_significant = true;

@@ -54,9 +54,8 @@ struct EvolutionConfig {
   /// (predicted joules in TDP-GPU-second units) to the SRUF score, steering
   /// the search toward fewer, better-utilized workers. 0 — the default —
   /// skips the term entirely, leaving scores bit-identical to the paper's
-  /// objective. Not part of the serialized RunSpec: every non-zero setting
-  /// MUST be tagged via RunSpec::variant (DESIGN.md §6) or the run cache
-  /// will alias it with default ONES.
+  /// objective. Like every OnesConfig field it is run-cache key material
+  /// (DESIGN.md §6).
   double lambda_energy = 0.0;
   std::uint64_t seed = 99;
 };

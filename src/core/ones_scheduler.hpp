@@ -29,16 +29,19 @@ struct OnesConfig {
   predict::PredictorConfig predictor;
   /// Ablation: disable the Beta-progress predictor (rho fixed at 1/2).
   bool use_predictor = true;
+  /// Ablation: deploy re-configurations by checkpoint migration instead of
+  /// elastic scaling (§3.3); the scheduler then reports as "ONES-ckpt".
+  sched::ScalingMechanism mechanism = sched::ScalingMechanism::Elastic;
 };
 
 class OnesScheduler : public sched::Scheduler {
  public:
   explicit OnesScheduler(const OnesConfig& config = {});
 
-  std::string name() const override { return "ONES"; }
-  sched::ScalingMechanism mechanism() const override {
-    return sched::ScalingMechanism::Elastic;
+  std::string name() const override {
+    return config_.mechanism == sched::ScalingMechanism::Checkpoint ? "ONES-ckpt" : "ONES";
   }
+  sched::ScalingMechanism mechanism() const override { return config_.mechanism; }
 
   std::optional<cluster::Assignment> on_event(const sched::ClusterState& state,
                                               const sched::SchedulerEvent& event) override;

@@ -12,8 +12,7 @@
 // This module simulates that message flow event-by-event on the SimEngine.
 // The fast cost model in cost_model.hpp is what the big trace simulations
 // use; this protocol simulation validates the cost model's "blocked time"
-// decomposition and powers the Fig 16 overhead benchmark and the
-// elastic_scaling_demo example.
+// decomposition and powers the Fig 16 overhead benchmark.
 #pragma once
 
 #include <functional>

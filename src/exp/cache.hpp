@@ -4,7 +4,7 @@
 // named by `cache_key(spec)` — a human-readable prefix plus the FNV-1a hash
 // of the spec's canonical serialization. A warm cache makes re-running an
 // unchanged bench near-instant; any change to the spec (seed, topology,
-// trace, variant tag, schema version) changes the key and misses.
+// trace, any scheduler knob, schema version) changes the key and misses.
 //
 // Thread safety: load/store may be called concurrently from worker threads.
 // Stores write to a unique temp file and rename into place, so readers never

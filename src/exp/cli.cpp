@@ -1,5 +1,7 @@
 #include "exp/cli.hpp"
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,13 +34,15 @@ void print_usage(std::FILE* out, const char* prog, const char* extra_usage) {
   if (extra_usage != nullptr) std::fputs(extra_usage, out);
 }
 
-/// Parse the integer value of "--flag=V"; exits on malformed or < min.
+/// Parse the integer value of "--flag=V"; exits on malformed, < min or
+/// beyond int range (never wraps).
 int parse_int_value(const char* arg, const char* value, int min, const char* prog) {
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(value, &end, 10);
-  if (*value == '\0' || *end != '\0' || v < min) {
-    std::fprintf(stderr, "%s: bad value in '%s' (need an integer >= %d)\n", prog, arg,
-                 min);
+  if (*value == '\0' || *end != '\0' || errno == ERANGE || v < min || v > INT_MAX) {
+    std::fprintf(stderr, "%s: bad value in '%s' (need an integer in [%d, %d])\n", prog,
+                 arg, min, INT_MAX);
     std::exit(2);
   }
   return static_cast<int>(v);

@@ -6,8 +6,6 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <typeinfo>
-#include <unordered_map>
 
 #include "common/expect.hpp"
 #include "common/math_util.hpp"
@@ -22,10 +20,7 @@ namespace ones::exp {
 namespace {
 
 std::string run_label(const RunSpec& spec) {
-  std::string label = spec.scheduler;
-  if (!spec.variant.empty()) label += "/" + spec.variant;
-  label += " seed=" + std::to_string(spec.trace.seed);
-  return label;
+  return scheduler_kind(spec.scheduler) + " seed=" + std::to_string(spec.trace.seed);
 }
 
 }  // namespace
@@ -49,10 +44,8 @@ RunResult run_simulation(const sched::SimulationConfig& config,
 
 RunResult execute_run(const RunSpec& spec, trace::TraceSink* trace_sink,
                       telemetry::MetricsRegistry* metrics, prof::Profiler* profiler) {
-  ONES_EXPECT_MSG(static_cast<bool>(spec.factory), "RunSpec has no scheduler factory");
   const auto trace = workload::generate_trace(spec.trace);
-  const auto scheduler = spec.factory();
-  ONES_EXPECT_MSG(scheduler != nullptr, "scheduler factory returned null");
+  const auto scheduler = make_scheduler(spec.scheduler);
   sched::SimulationConfig config = spec.sim;
   config.trace_sink = trace_sink;
   config.metrics = metrics;
@@ -64,25 +57,6 @@ std::vector<RunResult> run_grid(const std::vector<RunSpec>& specs,
                                 const GridOptions& options) {
   ONES_EXPECT_MSG(!specs.empty(), "run_grid requires a non-empty grid");
   ONES_EXPECT_MSG(options.threads >= 1, "run_grid requires threads >= 1");
-  // Best-effort variant-aliasing guard: two specs that hash to the same
-  // cache key must build the same kind of scheduler, otherwise one config's
-  // cached results would silently be served for the other. Comparing the
-  // factories' target types catches the common bug (distinct factory functor
-  // types, e.g. different lambdas, with no RunSpec::variant); identical
-  // lambda types with different captured configs remain the caller's duty
-  // (DESIGN.md §6).
-  std::unordered_map<std::string, const std::type_info*> key_factory_type;
-  for (const auto& spec : specs) {
-    ONES_EXPECT_MSG(static_cast<bool>(spec.factory),
-                    "every RunSpec needs a scheduler factory");
-    ONES_EXPECT_MSG(!spec.scheduler.empty(), "every RunSpec needs a scheduler name");
-    const std::type_info& type = spec.factory.target_type();
-    const auto [it, inserted] = key_factory_type.emplace(cache_key(spec), &type);
-    ONES_EXPECT_MSG(inserted || *it->second == type,
-                    "two RunSpecs alias cache key '" + it->first +
-                        "' with different scheduler factories — set "
-                        "RunSpec::variant to distinguish their configurations");
-  }
 
   const ResultCache cache(options.cache_dir, options.use_cache);
   ProgressReporter progress(specs.size(), options.progress);

@@ -4,8 +4,8 @@
 // std::thread workers and returns one RunResult per spec, IN SPEC ORDER.
 //
 // Determinism argument (see DESIGN.md §7): each run constructs a fresh
-// scheduler from its factory, generates its own trace from the spec's seed,
-// and owns its ClusterSimulation — all randomness flows from per-run
+// scheduler from its SchedulerSpec, generates its own trace from the spec's
+// seed, and owns its ClusterSimulation — all randomness flows from per-run
 // `ones::Rng` seeds, and the simulator has no mutable global state. Threads
 // only race for *which* run to execute next; results land in a pre-sized
 // vector slot indexed by spec position, so aggregation order — and therefore
@@ -65,7 +65,7 @@ struct GridOptions {
   prof::ProfileRollup* prof = nullptr;
 };
 
-/// Execute one simulation: build the scheduler from the spec's factory,
+/// Execute one simulation: build the scheduler from the spec's SchedulerSpec,
 /// generate the trace, run, and collect metrics. (Also the body of each
 /// orchestrator worker; exposed for benches that run a single config.)
 /// `trace_sink`, when non-null, receives the run's structured trace;
@@ -83,13 +83,9 @@ RunResult run_simulation(const sched::SimulationConfig& config,
                          sched::Scheduler& scheduler);
 
 /// Fan the grid out over `options.threads` workers. Preconditions
-/// (ONES_EXPECT): non-empty grid, threads >= 1, every spec has a factory and
-/// a scheduler name, and no two specs may map to the same cache key with
-/// different scheduler-factory types — that is the variant-aliasing bug
-/// DESIGN.md §6 warns about (a non-default scheduler config not reflected in
-/// RunSpec::variant), and it would silently serve one config's results for
-/// the other. The first exception thrown by a worker aborts the remaining
-/// queue and is rethrown on the calling thread.
+/// (ONES_EXPECT): non-empty grid and threads >= 1. The first exception
+/// thrown by a worker aborts the remaining queue and is rethrown on the
+/// calling thread.
 std::vector<RunResult> run_grid(const std::vector<RunSpec>& specs,
                                 const GridOptions& options = {});
 

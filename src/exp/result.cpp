@@ -1,6 +1,7 @@
 #include "exp/result.hpp"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -43,6 +44,23 @@ double read_number(const JsonValue& obj, const char* key) {
     throw std::runtime_error(std::string("missing numeric field: ") + key);
   }
   return v->number;
+}
+
+/// A JSON number as a non-negative integer of type T. Throws on negative,
+/// non-finite, non-integral or out-of-range values: casting those would be
+/// undefined behaviour, and a throw demotes the cache entry to a miss.
+template <typename T>
+T to_count(double v, const char* key) {
+  if (!(std::isfinite(v) && v >= 0.0 && v == std::trunc(v) &&
+        v < std::ldexp(1.0, std::numeric_limits<T>::digits))) {
+    throw std::runtime_error(std::string("field is not a non-negative integer: ") + key);
+  }
+  return static_cast<T>(v);
+}
+
+template <typename T>
+T read_count(const JsonValue& obj, const char* key) {
+  return to_count<T>(read_number(obj, key), key);
 }
 
 std::string read_string(const JsonValue& obj, const char* key) {
@@ -92,8 +110,7 @@ std::string result_to_json(const RunResult& r) {
 RunResult result_from_json(const std::string& json) {
   const JsonValue doc = parse_json(json);
   if (doc.kind != JsonValue::Kind::Object) throw std::runtime_error("not a JSON object");
-  const double schema = read_number(doc, "schema");
-  if (static_cast<int>(schema) != kCacheSchemaVersion) {
+  if (read_count<int>(doc, "schema") != kCacheSchemaVersion) {
     throw std::runtime_error("cache schema version mismatch");
   }
 
@@ -103,7 +120,7 @@ RunResult result_from_json(const std::string& json) {
     throw std::runtime_error("missing summary object");
   }
   r.summary.scheduler = read_string(*summary, "scheduler");
-  r.summary.jobs = static_cast<std::size_t>(read_number(*summary, "jobs"));
+  r.summary.jobs = read_count<std::size_t>(*summary, "jobs");
   r.summary.avg_jct = read_number(*summary, "avg_jct");
   r.summary.avg_exec = read_number(*summary, "avg_exec");
   r.summary.avg_queue = read_number(*summary, "avg_queue");
@@ -129,12 +146,12 @@ RunResult result_from_json(const std::string& json) {
         pair.array[1].kind != JsonValue::Kind::Number) {
       throw std::runtime_error("malformed jct_by_job entry");
     }
-    r.jct_by_job[static_cast<JobId>(std::llround(pair.array[0].number))] =
+    r.jct_by_job[to_count<JobId>(pair.array[0].number, "jct_by_job")] =
         pair.array[1].number;
   }
-  r.completed = static_cast<std::size_t>(read_number(doc, "completed"));
-  r.events_fired = static_cast<std::uint64_t>(read_number(doc, "events_fired"));
-  r.deployments = static_cast<std::uint64_t>(read_number(doc, "deployments"));
+  r.completed = read_count<std::size_t>(doc, "completed");
+  r.events_fired = read_count<std::uint64_t>(doc, "events_fired");
+  r.deployments = read_count<std::uint64_t>(doc, "deployments");
   return r;
 }
 

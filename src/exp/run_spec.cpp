@@ -1,8 +1,12 @@
 #include "exp/run_spec.hpp"
 
-#include <cctype>
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
+
+#include "sched/fifo.hpp"
+#include "sched/srtf.hpp"
 
 namespace ones::exp {
 
@@ -24,11 +28,137 @@ void put(std::ostringstream& os, const char* key, bool v) {
   os << key << '=' << (v ? 1 : 0) << '\n';
 }
 
-void put(std::ostringstream& os, const char* key, const std::string& v) {
-  os << key << '=' << v << '\n';
+template <typename T>
+void put(std::ostringstream& os, const std::string& key, const std::vector<T>& values) {
+  put(os, (key + ".size").c_str(), static_cast<std::uint64_t>(values.size()));
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    put(os, (key + "." + std::to_string(i)).c_str(), values[i]);
+  }
+}
+
+// kind / put_fields / make: one overload per SchedulerSpec alternative.
+// Each put_fields binds EVERY member of its config with a structured
+// binding, so adding a config field without revisiting its key lines here
+// is a compile error: the key covers every knob by construction.
+
+const char* kind(const core::OnesConfig&) { return "ones"; }
+const char* kind(const drl::DrlConfig&) { return "drl"; }
+const char* kind(const sched::TiresiasConfig&) { return "tiresias"; }
+const char* kind(const sched::OptimusConfig&) { return "optimus"; }
+const char* kind(const sched::PowerCapConfig&) { return "powercap"; }
+const char* kind(const FifoConfig&) { return "fifo"; }
+const char* kind(const SrtfConfig&) { return "srtf"; }
+
+void put_fields(std::ostringstream& os, const core::OnesConfig& c) {
+  const auto& [evolution, policy, predictor, use_predictor, mechanism] = c;
+  const auto& [population_size, mutation_rate, rounds_per_event, use_crossover,
+               use_mutation, use_reorder, switch_penalty_s, preempt_penalty_s,
+               lambda_energy, evolution_seed] = evolution;
+  put(os, "ones.evolution.population_size", static_cast<std::uint64_t>(population_size));
+  put(os, "ones.evolution.mutation_rate", mutation_rate);
+  put(os, "ones.evolution.rounds_per_event", rounds_per_event);
+  put(os, "ones.evolution.use_crossover", use_crossover);
+  put(os, "ones.evolution.use_mutation", use_mutation);
+  put(os, "ones.evolution.use_reorder", use_reorder);
+  put(os, "ones.evolution.switch_penalty_s", switch_penalty_s);
+  put(os, "ones.evolution.preempt_penalty_s", preempt_penalty_s);
+  put(os, "ones.evolution.lambda_energy", lambda_energy);
+  put(os, "ones.evolution.seed", evolution_seed);
+  const auto& [sigma, sigma_scale, warmup_epochs, r_cap_multiple, min_limit_divisor] =
+      policy;
+  put(os, "ones.policy.sigma", sigma);
+  put(os, "ones.policy.sigma_scale", sigma_scale);
+  put(os, "ones.policy.warmup_epochs", warmup_epochs);
+  put(os, "ones.policy.r_cap_multiple", r_cap_multiple);
+  put(os, "ones.policy.min_limit_divisor", min_limit_divisor);
+  const auto& [max_training_points, points_per_job, ridge_lambda, likelihood_steps,
+               learning_rate, prior_total_epochs, predictor_seed] = predictor;
+  put(os, "ones.predictor.max_training_points",
+      static_cast<std::uint64_t>(max_training_points));
+  put(os, "ones.predictor.points_per_job", static_cast<std::uint64_t>(points_per_job));
+  put(os, "ones.predictor.ridge_lambda", ridge_lambda);
+  put(os, "ones.predictor.likelihood_steps", likelihood_steps);
+  put(os, "ones.predictor.learning_rate", learning_rate);
+  put(os, "ones.predictor.prior_total_epochs", prior_total_epochs);
+  put(os, "ones.predictor.seed", predictor_seed);
+  put(os, "ones.use_predictor", use_predictor);
+  put(os, "ones.mechanism", static_cast<int>(mechanism));
+}
+
+void put_fields(std::ostringstream& os, const drl::DrlConfig& c) {
+  const auto& [hidden, learning_rate, train_episodes, train_jobs, train_interarrival_s,
+               train_nodes, max_workers_per_job, seed] = c;
+  put(os, "drl.hidden", hidden);
+  put(os, "drl.learning_rate", learning_rate);
+  put(os, "drl.train_episodes", train_episodes);
+  put(os, "drl.train_jobs", train_jobs);
+  put(os, "drl.train_interarrival_s", train_interarrival_s);
+  put(os, "drl.train_nodes", train_nodes);
+  put(os, "drl.max_workers_per_job", max_workers_per_job);
+  put(os, "drl.seed", seed);
+}
+
+void put_fields(std::ostringstream& os, const sched::TiresiasConfig& c) {
+  const auto& [queue_thresholds, promote_knob] = c;
+  put(os, "tiresias.queue_thresholds", queue_thresholds);
+  put(os, "tiresias.promote_knob", promote_knob);
+}
+
+void put_fields(std::ostringstream& os, const sched::OptimusConfig& c) {
+  const auto& [reschedule_period_s, max_workers_per_job, default_total_epochs,
+               patience_epochs] = c;
+  put(os, "optimus.reschedule_period_s", reschedule_period_s);
+  put(os, "optimus.max_workers_per_job", max_workers_per_job);
+  put(os, "optimus.default_total_epochs", default_total_epochs);
+  put(os, "optimus.patience_epochs", patience_epochs);
+}
+
+void put_fields(std::ostringstream& os, const sched::PowerCapConfig& c) {
+  const auto& [cap_fraction, cap_watts] = c;
+  put(os, "powercap.cap_fraction", cap_fraction);
+  put(os, "powercap.cap_watts", cap_watts);
+}
+
+void put_fields(std::ostringstream& os, const FifoConfig& c) {
+  const auto& [backfill] = c;
+  put(os, "fifo.backfill", backfill);
+}
+
+void put_fields(std::ostringstream&, const SrtfConfig&) {}
+
+std::unique_ptr<sched::Scheduler> make(const core::OnesConfig& c) {
+  return std::make_unique<core::OnesScheduler>(c);
+}
+std::unique_ptr<sched::Scheduler> make(const drl::DrlConfig& c) {
+  auto s = std::make_unique<drl::DrlScheduler>(c);
+  s->train();
+  return s;
+}
+std::unique_ptr<sched::Scheduler> make(const sched::TiresiasConfig& c) {
+  return std::make_unique<sched::TiresiasScheduler>(c);
+}
+std::unique_ptr<sched::Scheduler> make(const sched::OptimusConfig& c) {
+  return std::make_unique<sched::OptimusScheduler>(c);
+}
+std::unique_ptr<sched::Scheduler> make(const sched::PowerCapConfig& c) {
+  return std::make_unique<sched::PowerCapScheduler>(c);
+}
+std::unique_ptr<sched::Scheduler> make(const FifoConfig& c) {
+  return std::make_unique<sched::FifoScheduler>(c.backfill);
+}
+std::unique_ptr<sched::Scheduler> make(const SrtfConfig&) {
+  return std::make_unique<sched::SrtfOracleScheduler>();
 }
 
 }  // namespace
+
+std::unique_ptr<sched::Scheduler> make_scheduler(const SchedulerSpec& spec) {
+  return std::visit([](const auto& c) { return make(c); }, spec);
+}
+
+std::string scheduler_kind(const SchedulerSpec& spec) {
+  return std::visit([](const auto& c) { return std::string(kind(c)); }, spec);
+}
 
 std::uint64_t fnv1a64(const std::string& data) {
   std::uint64_t h = 14695981039346656037ULL;
@@ -42,8 +172,8 @@ std::uint64_t fnv1a64(const std::string& data) {
 std::string canonical_serialize(const RunSpec& spec) {
   std::ostringstream os;
   put(os, "schema", kCacheSchemaVersion);
-  put(os, "scheduler", spec.scheduler);
-  put(os, "variant", spec.variant);
+  os << "scheduler=" << scheduler_kind(spec.scheduler) << '\n';
+  std::visit([&os](const auto& c) { put_fields(os, c); }, spec.scheduler);
 
   const auto& t = spec.sim.topology;
   put(os, "topology.num_nodes", t.num_nodes);
@@ -117,17 +247,10 @@ std::string canonical_serialize(const RunSpec& spec) {
 }
 
 std::string cache_key(const RunSpec& spec) {
-  std::string prefix = spec.scheduler;
-  if (!spec.variant.empty()) prefix += "-" + spec.variant;
-  for (char& ch : prefix) {
-    const unsigned char u = static_cast<unsigned char>(ch);
-    ch = std::isalnum(u) ? static_cast<char>(std::tolower(u)) : '_';
-  }
-  if (prefix.empty()) prefix = "run";
   char hex[24];
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(fnv1a64(canonical_serialize(spec))));
-  return prefix + "-" + hex;
+  return scheduler_kind(spec.scheduler) + "-" + hex;
 }
 
 }  // namespace ones::exp

@@ -1,48 +1,62 @@
 // Declarative description of one experiment run.
 //
-// A RunSpec is the unit the orchestrator fans out: a scheduler (by factory,
-// so every run gets a FRESH instance and parallel runs share no mutable
-// state), a simulation configuration, and a trace configuration. The
-// declarative part — everything except the factory — has a canonical text
-// serialization whose FNV-1a hash keys the on-disk result cache, so two
-// specs collide iff they describe the same simulation.
-//
-// The factory is deliberately excluded from the key: it is opaque code. Any
-// scheduler knob that is NOT captured by `sim`/`trace` (e.g. an ablation's
-// OnesConfig tweaks) MUST be reflected in `variant` or the cache will serve
-// stale results across configurations.
+// A RunSpec is the unit the orchestrator fans out: a typed scheduler
+// configuration, a simulation configuration, and a trace configuration. It
+// is plain data. `make_scheduler` builds a FRESH scheduler from it for every
+// run (parallel runs share no mutable state), and its canonical text
+// serialization — every field of all three parts — hashes into the on-disk
+// result cache key, so two specs collide iff they describe the same
+// simulation.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
+#include <variant>
 
+#include "core/ones_scheduler.hpp"
+#include "drl/drl_scheduler.hpp"
+#include "sched/optimus.hpp"
+#include "sched/powercap.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/simulation.hpp"
+#include "sched/tiresias.hpp"
 #include "workload/trace.hpp"
 
 namespace ones::exp {
 
-/// Builds a fresh scheduler for one run. Must be safe to invoke from any
-/// worker thread (factories that share setup state — e.g. a lazily-trained
-/// DRL prototype — must synchronize internally, e.g. via std::call_once).
-using SchedulerFactory = std::function<std::unique_ptr<sched::Scheduler>()>;
+/// FIFO gang scheduling; `backfill` selects FIFO-BF.
+struct FifoConfig {
+  bool backfill = false;
+};
+
+/// The SRTF oracle (no knobs).
+struct SrtfConfig {};
+
+/// Every scheduler configuration the grid benches run. The alternative
+/// picks the scheduler; its fields are its knobs, and all of them are key
+/// material.
+using SchedulerSpec =
+    std::variant<core::OnesConfig, drl::DrlConfig, sched::TiresiasConfig,
+                 sched::OptimusConfig, sched::PowerCapConfig, FifoConfig, SrtfConfig>;
+
+/// Build a fresh scheduler for one run. DRL trains its policy here (offline,
+/// deterministic from DrlConfig::seed), so only executed runs pay for it.
+std::unique_ptr<sched::Scheduler> make_scheduler(const SchedulerSpec& spec);
+
+/// Short, filesystem-safe tag of the spec's alternative ("ones", "fifo", ...).
+std::string scheduler_kind(const SchedulerSpec& spec);
 
 /// Bump when the canonical serialization or the RunResult JSON layout
 /// changes; old cache entries then miss instead of deserializing garbage.
-/// v4: fault-injection config (SimulationConfig::fault) joined the key.
-inline constexpr int kCacheSchemaVersion = 4;
+/// v5: the typed SchedulerSpec (every scheduler knob) replaced the
+/// scheduler-name/variant tags.
+inline constexpr int kCacheSchemaVersion = 5;
 
 struct RunSpec {
-  /// Scheduler display name; part of the cache key.
-  std::string scheduler;
-  /// Extra key material for configuration not captured by sim/trace
-  /// (ablation flags, non-default scheduler configs). Empty = defaults.
-  std::string variant;
+  SchedulerSpec scheduler;
   sched::SimulationConfig sim;
   workload::TraceConfig trace;
-  SchedulerFactory factory;
 };
 
 /// FNV-1a 64-bit hash (offset basis 14695981039346656037, prime 1099511628211).
@@ -53,8 +67,8 @@ std::uint64_t fnv1a64(const std::string& data);
 /// alias.
 std::string canonical_serialize(const RunSpec& spec);
 
-/// Cache key: sanitized scheduler/variant prefix (human-debuggable) plus the
-/// 16-hex-digit FNV-1a hash of the canonical serialization.
+/// Cache key: the scheduler kind (human-debuggable) plus the 16-hex-digit
+/// FNV-1a hash of the canonical serialization.
 std::string cache_key(const RunSpec& spec);
 
 }  // namespace ones::exp

@@ -1,8 +1,10 @@
 // Tests for the parallel experiment orchestrator (src/exp): thread-count
 // determinism, cache hit/miss behavior, JSON round-trips, cache-key
 // sensitivity and grid preconditions.
+#include <climits>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -12,8 +14,6 @@
 #include "exp/cli.hpp"
 #include "common/json.hpp"
 #include "exp/orchestrator.hpp"
-#include "sched/fifo.hpp"
-#include "sched/tiresias.hpp"
 #include "telemetry/registry.hpp"
 #include "trace/replay.hpp"
 
@@ -38,22 +38,15 @@ workload::TraceConfig tiny_trace(std::uint64_t seed = 11) {
 }
 
 RunSpec tiny_spec(std::uint64_t seed = 11) {
-  RunSpec spec;
-  spec.scheduler = "FIFO";
-  spec.sim = tiny_sim();
-  spec.trace = tiny_trace(seed);
-  spec.factory = [] { return std::make_unique<sched::FifoScheduler>(); };
-  return spec;
+  return RunSpec{FifoConfig{}, tiny_sim(), tiny_trace(seed)};
 }
 
 std::vector<RunSpec> tiny_grid() {
   std::vector<RunSpec> specs;
   for (std::uint64_t seed : {11ULL, 12ULL}) {
     specs.push_back(tiny_spec(seed));
-    RunSpec tiresias = tiny_spec(seed);
-    tiresias.scheduler = "Tiresias";
-    tiresias.factory = [] { return std::make_unique<sched::TiresiasScheduler>(); };
-    specs.push_back(std::move(tiresias));
+    specs.push_back(tiny_spec(seed));
+    specs.back().scheduler = sched::TiresiasConfig{};
   }
   return specs;
 }
@@ -113,7 +106,7 @@ TEST(ExpOrchestrator, ParallelGridBitIdenticalToSerial) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     expect_identical(serial[i], parallel[i]);
   }
-  // Results land in spec order: factory-major grid layout.
+  // Results land in spec order: scheduler-major grid layout.
   EXPECT_EQ(parallel[0].summary.scheduler, "FIFO");
   EXPECT_EQ(parallel[1].summary.scheduler, "Tiresias");
 }
@@ -152,22 +145,45 @@ TEST(ExpOrchestrator, MalformedGridsThrow) {
   const std::vector<RunSpec> specs = {tiny_spec()};
   EXPECT_THROW(run_grid(specs, quiet_options(0)), std::logic_error);
   EXPECT_THROW(run_grid(specs, quiet_options(-3)), std::logic_error);
-
-  std::vector<RunSpec> no_factory = {tiny_spec()};
-  no_factory[0].factory = nullptr;
-  EXPECT_THROW(run_grid(no_factory, quiet_options(1)), std::logic_error);
-
-  std::vector<RunSpec> no_name = {tiny_spec()};
-  no_name[0].scheduler.clear();
-  EXPECT_THROW(run_grid(no_name, quiet_options(1)), std::logic_error);
 }
 
 TEST(ExpOrchestrator, WorkerExceptionPropagatesToCaller) {
-  std::vector<RunSpec> specs = {tiny_spec()};
-  specs[0].factory = []() -> std::unique_ptr<sched::Scheduler> {
-    throw std::runtime_error("factory exploded");
-  };
-  EXPECT_THROW(run_grid(specs, quiet_options(2)), std::runtime_error);
+  // A cap fraction outside (0, 1] makes the scheduler constructor throw
+  // inside a worker; the grid must rethrow it on the calling thread.
+  sched::PowerCapConfig bad_cap;
+  bad_cap.cap_fraction = 2.0;
+  const std::vector<RunSpec> specs = {tiny_spec(), RunSpec{bad_cap, tiny_sim(), tiny_trace()}};
+  EXPECT_THROW(run_grid(specs, quiet_options(2)), std::logic_error);
+}
+
+TEST(ExpOrchestrator, SchedulerConfigsNeverShareACacheEntry) {
+  // The ablation pattern: same sim and trace, different OnesConfig. The
+  // second config must execute, not be served the first one's result.
+  TempCacheDir dir("ones_exp_ablation_cache");
+  const RunSpec full{core::OnesConfig{}, tiny_sim(), tiny_trace()};
+  RunSpec no_predictor = full;
+  std::get<core::OnesConfig>(no_predictor.scheduler).use_predictor = false;
+
+  run_grid({full}, quiet_options(1, true, dir.path()));
+  const auto runs = run_grid({full, no_predictor}, quiet_options(1, true, dir.path()));
+  EXPECT_TRUE(runs[0].from_cache);
+  EXPECT_FALSE(runs[1].from_cache);
+}
+
+TEST(ExpOrchestrator, DrlRunsTrainTheSamePolicyOnEveryWorker) {
+  // Each DRL run trains its own policy; training is seeded by DrlConfig
+  // alone, so parallel runs match each other and a run of one shared,
+  // pre-trained instance.
+  drl::DrlConfig cfg;
+  cfg.train_episodes = 3;
+  const RunSpec spec{cfg, tiny_sim(), tiny_trace()};
+  const auto runs = run_grid({spec, spec}, quiet_options(2));
+  expect_identical(runs[0], runs[1]);
+
+  drl::DrlScheduler shared(cfg);
+  shared.train();
+  expect_identical(runs[0], run_simulation(spec.sim, workload::generate_trace(spec.trace),
+                                           shared));
 }
 
 TEST(ExpOrchestrator, PoolRunsConcatenatesAndAverages) {
@@ -226,9 +242,37 @@ TEST(ExpCache, CorruptEntryIsAMiss) {
   TempCacheDir dir("ones_exp_corrupt_test");
   ResultCache cache(dir.path());
   const auto spec = tiny_spec();
+  const fs::path entry = fs::path(dir.path()) / (cache_key(spec) + ".json");
   fs::create_directories(dir.path());
-  std::ofstream(fs::path(dir.path()) / (cache_key(spec) + ".json")) << "{not json";
+  std::ofstream(entry) << "{not json";
   EXPECT_FALSE(cache.load(spec).has_value());
+
+  // Integer fields holding negative, non-integral, out-of-range or
+  // non-finite numbers (1e999 parses to inf) are corrupt too: each must be
+  // demoted to a miss, never cast.
+  RunResult r;
+  r.jct_by_job = {{4, 1.5}};
+  const std::string good = result_to_json(r);
+  const std::string schema = "\"schema\":" + std::to_string(kCacheSchemaVersion);
+  const std::vector<std::string> fields = {schema,           "\"jobs\":0",
+                                           "\"completed\":0", "\"events_fired\":0",
+                                           "\"deployments\":0", "[4,"};
+  std::size_t corrupted = 1;
+  for (const std::string& field : fields) {
+    const auto at = good.find(field);
+    ASSERT_NE(at, std::string::npos) << field;
+    const bool is_id = field.front() == '[';
+    const std::string prefix = is_id ? "[" : field.substr(0, field.find(':') + 1);
+    for (const char* bad : {"-1", "0.5", "1e300", "1e999"}) {
+      std::string json = good;
+      json.replace(at, field.size(), prefix + bad + (is_id ? "," : ""));
+      std::ofstream(entry, std::ios::trunc) << json;
+      EXPECT_FALSE(cache.load(spec).has_value()) << json;
+      EXPECT_EQ(cache.demotions(), ++corrupted) << json;
+    }
+  }
+  std::ofstream(entry, std::ios::trunc) << good;
+  EXPECT_TRUE(cache.load(spec).has_value());
 }
 
 TEST(ExpCache, DisabledCacheNeverTouchesDisk) {
@@ -239,6 +283,13 @@ TEST(ExpCache, DisabledCacheNeverTouchesDisk) {
   cache.store(spec, r);
   EXPECT_FALSE(cache.load(spec).has_value());
   EXPECT_FALSE(fs::exists(dir.path()));
+}
+
+template <typename Config, typename Edit>
+SchedulerSpec edited(Edit edit) {
+  Config c;
+  edit(c);
+  return c;
 }
 
 TEST(ExpRunSpec, CacheKeyIsSensitiveToEveryKnob) {
@@ -254,10 +305,6 @@ TEST(ExpRunSpec, CacheKeyIsSensitiveToEveryKnob) {
   nodes.sim.topology.num_nodes += 1;
   EXPECT_NE(cache_key(nodes), key);
 
-  auto variant = base;
-  variant.variant = "no-predictor";
-  EXPECT_NE(cache_key(variant), key);
-
   auto knob = base;
   knob.sim.convergence.lr_linear_scaling = false;
   EXPECT_NE(cache_key(knob), key);
@@ -266,8 +313,8 @@ TEST(ExpRunSpec, CacheKeyIsSensitiveToEveryKnob) {
   trace.trace.mean_interarrival_s *= 2.0;
   EXPECT_NE(cache_key(trace), key);
 
-  // Fault injection (DESIGN.md §13) is simulation input (schema v4): every
-  // knob, including the recovery policy, must move the key.
+  // Fault injection (DESIGN.md §13) is simulation input: every knob,
+  // including the recovery policy, must move the key.
   auto fault = base;
   fault.sim.fault.gpu_mtbf_s = 15000.0;
   EXPECT_NE(cache_key(fault), key);
@@ -278,9 +325,97 @@ TEST(ExpRunSpec, CacheKeyIsSensitiveToEveryKnob) {
   ckpt.sim.fault.checkpoint_interval_s *= 2.0;
   EXPECT_NE(cache_key(ckpt), key);
 
-  // Keys are filesystem-safe and embed the scheduler for debuggability.
+  // Every field of every SchedulerSpec alternative is key material: the
+  // defaults of each alternative plus one perturbation per field must all
+  // hash to distinct keys.
+  using core::OnesConfig;
+  using drl::DrlConfig;
+  using sched::OptimusConfig;
+  using sched::PowerCapConfig;
+  using sched::TiresiasConfig;
+  const std::vector<SchedulerSpec> schedulers = {
+      OnesConfig{}, DrlConfig{}, TiresiasConfig{}, OptimusConfig{}, PowerCapConfig{},
+      FifoConfig{}, SrtfConfig{},
+      edited<OnesConfig>([](auto& c) { c.evolution.population_size = 7; }),
+      edited<OnesConfig>([](auto& c) { c.evolution.mutation_rate = 0.3; }),
+      edited<OnesConfig>([](auto& c) { c.evolution.rounds_per_event = 2; }),
+      edited<OnesConfig>([](auto& c) { c.evolution.use_crossover = false; }),
+      edited<OnesConfig>([](auto& c) { c.evolution.use_mutation = false; }),
+      edited<OnesConfig>([](auto& c) { c.evolution.use_reorder = false; }),
+      edited<OnesConfig>([](auto& c) { c.evolution.switch_penalty_s = 1.0; }),
+      edited<OnesConfig>([](auto& c) { c.evolution.preempt_penalty_s = 1.0; }),
+      edited<OnesConfig>([](auto& c) { c.evolution.lambda_energy = 0.25; }),
+      edited<OnesConfig>([](auto& c) { c.evolution.seed += 1; }),
+      edited<OnesConfig>([](auto& c) { c.policy.sigma = 0.01; }),
+      edited<OnesConfig>([](auto& c) { c.policy.sigma_scale = 0.5; }),
+      edited<OnesConfig>([](auto& c) { c.policy.warmup_epochs = 2; }),
+      edited<OnesConfig>([](auto& c) { c.policy.r_cap_multiple = 4.0; }),
+      edited<OnesConfig>([](auto& c) { c.policy.min_limit_divisor = 2; }),
+      edited<OnesConfig>([](auto& c) { c.predictor.max_training_points = 64; }),
+      edited<OnesConfig>([](auto& c) { c.predictor.points_per_job = 4; }),
+      edited<OnesConfig>([](auto& c) { c.predictor.ridge_lambda = 2.0; }),
+      edited<OnesConfig>([](auto& c) { c.predictor.likelihood_steps = 10; }),
+      edited<OnesConfig>([](auto& c) { c.predictor.learning_rate = 0.1; }),
+      edited<OnesConfig>([](auto& c) { c.predictor.prior_total_epochs = 10.0; }),
+      edited<OnesConfig>([](auto& c) { c.predictor.seed += 1; }),
+      edited<OnesConfig>([](auto& c) { c.use_predictor = false; }),
+      edited<OnesConfig>(
+          [](auto& c) { c.mechanism = sched::ScalingMechanism::Checkpoint; }),
+      edited<DrlConfig>([](auto& c) { c.hidden = {16, 8}; }),
+      edited<DrlConfig>([](auto& c) { c.hidden = {16}; }),
+      edited<DrlConfig>([](auto& c) { c.learning_rate = 0.01; }),
+      edited<DrlConfig>([](auto& c) { c.train_episodes = 10; }),
+      edited<DrlConfig>([](auto& c) { c.train_jobs = 8; }),
+      edited<DrlConfig>([](auto& c) { c.train_interarrival_s = 10.0; }),
+      edited<DrlConfig>([](auto& c) { c.train_nodes = 2; }),
+      edited<DrlConfig>([](auto& c) { c.max_workers_per_job = 8; }),
+      edited<DrlConfig>([](auto& c) { c.seed += 1; }),
+      edited<TiresiasConfig>([](auto& c) { c.queue_thresholds = {900.0, 3600.0}; }),
+      edited<TiresiasConfig>([](auto& c) { c.queue_thresholds = {900.0}; }),
+      edited<TiresiasConfig>([](auto& c) { c.promote_knob = 2.0; }),
+      edited<OptimusConfig>([](auto& c) { c.reschedule_period_s = 300.0; }),
+      edited<OptimusConfig>([](auto& c) { c.max_workers_per_job = 8; }),
+      edited<OptimusConfig>([](auto& c) { c.default_total_epochs = 20.0; }),
+      edited<OptimusConfig>([](auto& c) { c.patience_epochs = 5; }),
+      edited<PowerCapConfig>([](auto& c) { c.cap_fraction = 0.5; }),
+      edited<PowerCapConfig>([](auto& c) { c.cap_watts = 5000.0; }),
+      FifoConfig{true},
+  };
+  std::set<std::string> keys;
+  for (const auto& scheduler : schedulers) {
+    const RunSpec spec{scheduler, base.sim, base.trace};
+    EXPECT_TRUE(keys.insert(cache_key(spec)).second) << canonical_serialize(spec);
+  }
+  EXPECT_EQ(keys.size(), schedulers.size());
+
+  // Keys are filesystem-safe and embed the scheduler kind for debuggability.
   EXPECT_EQ(key.find("fifo-"), 0u);
   EXPECT_EQ(key.find('/'), std::string::npos);
+}
+
+TEST(ExpRunSpec, MakeSchedulerBuildsEveryAlternative) {
+  core::OnesConfig ckpt;
+  ckpt.mechanism = sched::ScalingMechanism::Checkpoint;
+  drl::DrlConfig drl;
+  drl.train_episodes = 2;
+  const std::vector<std::pair<SchedulerSpec, std::string>> cases = {
+      {core::OnesConfig{}, "ONES"},        {ckpt, "ONES-ckpt"},
+      {drl, "DRL"},                        {sched::TiresiasConfig{}, "Tiresias"},
+      {sched::OptimusConfig{}, "Optimus"}, {FifoConfig{}, "FIFO"},
+      {FifoConfig{true}, "FIFO-BF"},       {SrtfConfig{}, "SRTF*"},
+      {sched::PowerCapConfig{}, "PowerCap"},
+  };
+  for (const auto& [spec, name] : cases) {
+    const auto scheduler = make_scheduler(spec);
+    ASSERT_NE(scheduler, nullptr) << name;
+    EXPECT_EQ(scheduler->name(), name);
+  }
+  EXPECT_EQ(make_scheduler(ckpt)->mechanism(), sched::ScalingMechanism::Checkpoint);
+  EXPECT_EQ(make_scheduler(core::OnesConfig{})->mechanism(),
+            sched::ScalingMechanism::Elastic);
+  // DRL runs get a policy trained from their own config.
+  const auto built = make_scheduler(drl);
+  EXPECT_TRUE(dynamic_cast<const drl::DrlScheduler&>(*built).trained());
 }
 
 TEST(ExpRunSpec, CanonicalSerializationEmbedsSchemaVersion) {
@@ -333,6 +468,20 @@ TEST(ExpCliDeathTest, UnwritableOutputDirFailsFast) {
   // must abort the bench before any run executes.
   EXPECT_EXIT(validate_output_dir("/proc/not-a-writable-dir", "--prof-dir", "test"),
               testing::ExitedWithCode(2), "--prof-dir");
+}
+
+TEST(ExpCliDeathTest, OutOfRangeIntegersExitInsteadOfWrapping) {
+  const auto parse = [](std::string flag) {
+    std::string prog = "bench";
+    char* argv[] = {prog.data(), flag.data()};
+    return parse_bench_cli(2, argv);
+  };
+  EXPECT_EQ(parse("--seeds=2147483647").seeds, INT_MAX);
+  // Beyond int range: exit 2, never wrap (to -2147483648 and 1 here).
+  for (const char* flag :
+       {"--seeds=2147483648", "--threads=4294967297", "--seeds=99999999999999999999"}) {
+    EXPECT_EXIT(parse(flag), testing::ExitedWithCode(2), "bad value") << flag;
+  }
 }
 
 std::string read_file(const fs::path& path) {
@@ -603,29 +752,6 @@ TEST(ExpCache, DemotedCorruptEntryIsCounted) {
   EXPECT_EQ(cache.demotions(), 1u);  // corrupt entry demoted to a miss...
   EXPECT_EQ(cache.misses(), 1u);     // ...and counted as one
   EXPECT_EQ(cache.hits(), 0u);
-}
-
-TEST(ExpOrchestrator, VariantAliasingIsRejected) {
-  // Two specs, identical declarative config (same cache key), but factories
-  // of different types — the classic "ablation config not reflected in
-  // RunSpec::variant" bug. The grid must refuse to run.
-  std::vector<RunSpec> specs = {tiny_spec(), tiny_spec()};
-  specs[1].factory = [] {
-    auto s = std::make_unique<sched::FifoScheduler>();
-    return std::unique_ptr<sched::Scheduler>(std::move(s));
-  };
-  EXPECT_THROW(run_grid(specs, quiet_options(1)), std::logic_error);
-
-  // Setting `variant` on one of them separates the cache keys and unblocks.
-  specs[1].variant = "alt";
-  const auto results = run_grid(specs, quiet_options(1));
-  EXPECT_EQ(results.size(), 2u);
-  expect_identical(results[0], results[1]);  // same underlying simulation
-
-  // Exact duplicates (same factory type) are benign and allowed.
-  const std::vector<RunSpec> dupes = {tiny_spec(), tiny_spec()};
-  const auto dupe_results = run_grid(dupes, quiet_options(2));
-  expect_identical(dupe_results[0], dupe_results[1]);
 }
 
 }  // namespace

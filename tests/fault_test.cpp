@@ -10,7 +10,6 @@
 #include "cluster/fault.hpp"
 #include "core/ones_scheduler.hpp"
 #include "sched/fifo.hpp"
-#include "sched/gandiva.hpp"
 #include "sched/optimus.hpp"
 #include "sched/simulation.hpp"
 #include "sched/srtf.hpp"
@@ -186,10 +185,6 @@ TEST(FaultSim, EverySchedulerSurvivesChaosWithInvariantsIntact) {
   {
     sched::SrtfOracleScheduler s;
     expect_clean_chaos_run(s, "SRTF*");
-  }
-  {
-    sched::GandivaScheduler s;
-    expect_clean_chaos_run(s, "Gandiva");
   }
 }
 

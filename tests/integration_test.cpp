@@ -93,14 +93,6 @@ TEST(Integration, EveryJobTrainsToItsConvergenceRule) {
 TEST(Integration, ElasticMechanismBeatsCheckpointForSamePolicy) {
   // Run ONES's policy with both mechanisms: the elastic runtime must not be
   // slower overall (it re-configures at ~1 s instead of tens of seconds).
-  class CheckpointOnes : public core::OnesScheduler {
-   public:
-    using core::OnesScheduler::OnesScheduler;
-    std::string name() const override { return "ONES-ckpt"; }
-    sched::ScalingMechanism mechanism() const override {
-      return sched::ScalingMechanism::Checkpoint;
-    }
-  };
   const auto trace = workload::generate_trace(trace_config(20, 8, 8));
   double elastic_jct, ckpt_jct;
   {
@@ -110,7 +102,10 @@ TEST(Integration, ElasticMechanismBeatsCheckpointForSamePolicy) {
     elastic_jct = telemetry::summarize("e", sim.metrics(), 8).avg_jct;
   }
   {
-    CheckpointOnes s;
+    core::OnesConfig cfg;
+    cfg.mechanism = sched::ScalingMechanism::Checkpoint;
+    core::OnesScheduler s(cfg);
+    EXPECT_EQ(s.name(), "ONES-ckpt");
     sched::ClusterSimulation sim(sim_config(2), trace, s);
     sim.run();
     ckpt_jct = telemetry::summarize("c", sim.metrics(), 8).avg_jct;

@@ -15,7 +15,6 @@
 #include "core/ones_scheduler.hpp"
 #include "drl/drl_scheduler.hpp"
 #include "sched/fifo.hpp"
-#include "sched/gandiva.hpp"
 #include "sched/optimus.hpp"
 #include "sched/simulation.hpp"
 #include "sched/srtf.hpp"
@@ -32,7 +31,6 @@ std::unique_ptr<sched::Scheduler> make_scheduler(const std::string& name) {
   if (name == "Optimus") return std::make_unique<sched::OptimusScheduler>();
   if (name == "SRTF*") return std::make_unique<sched::SrtfOracleScheduler>();
   if (name == "DRL") return std::make_unique<drl::DrlScheduler>();
-  if (name == "Gandiva") return std::make_unique<sched::GandivaScheduler>();
   if (name == "ONES-SA") return std::make_unique<core::AnnealingScheduler>();
   throw std::logic_error("unknown scheduler " + name);
 }
@@ -161,7 +159,6 @@ INSTANTIATE_TEST_SUITE_P(
                     RunParam{"Tiresias", 5, 6.0}, RunParam{"Optimus", 1, 10.0},
                     RunParam{"SRTF*", 1, 10.0}, RunParam{"SRTF*", 6, 6.0},
                     RunParam{"DRL", 1, 10.0}, RunParam{"DRL", 7, 25.0},
-                    RunParam{"Gandiva", 1, 10.0}, RunParam{"Gandiva", 8, 6.0},
                     RunParam{"ONES-SA", 1, 10.0}, RunParam{"ONES-SA", 9, 6.0}),
     param_name);
 

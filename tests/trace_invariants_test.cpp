@@ -11,7 +11,6 @@
 
 #include "core/ones_scheduler.hpp"
 #include "sched/fifo.hpp"
-#include "sched/gandiva.hpp"
 #include "sched/optimus.hpp"
 #include "sched/simulation.hpp"
 #include "sched/srtf.hpp"
@@ -23,18 +22,17 @@
 namespace ones::trace {
 namespace {
 
-struct NamedFactory {
+struct NamedScheduler {
   const char* name;
   std::function<std::unique_ptr<sched::Scheduler>()> make;
 };
 
-std::vector<NamedFactory> all_schedulers() {
+std::vector<NamedScheduler> all_schedulers() {
   return {
       {"FIFO", [] { return std::make_unique<sched::FifoScheduler>(); }},
       {"SRTF", [] { return std::make_unique<sched::SrtfOracleScheduler>(); }},
       {"Tiresias", [] { return std::make_unique<sched::TiresiasScheduler>(); }},
       {"Optimus", [] { return std::make_unique<sched::OptimusScheduler>(); }},
-      {"Gandiva", [] { return std::make_unique<sched::GandivaScheduler>(); }},
       {"ONES", [] { return std::make_unique<core::OnesScheduler>(); }},
   };
 }
