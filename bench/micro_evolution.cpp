@@ -61,7 +61,7 @@ struct World {
     state.topology = &topo;
     state.current = &live;
     state.oracle = &oracle;
-    for (auto& v : views) state.jobs.push_back(v.get());
+    for (auto& v : views) state.add_job(v.get());
   }
 };
 

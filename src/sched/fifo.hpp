@@ -18,7 +18,6 @@ class FifoScheduler : public Scheduler {
   explicit FifoScheduler(bool backfill = false) : backfill_(backfill) {}
 
   std::string name() const override { return backfill_ ? "FIFO-BF" : "FIFO"; }
-  ScalingMechanism mechanism() const override { return ScalingMechanism::Checkpoint; }
 
   std::optional<cluster::Assignment> on_event(const ClusterState& state,
                                               const SchedulerEvent& event) override;

@@ -34,7 +34,6 @@ class OptimusScheduler : public Scheduler {
   explicit OptimusScheduler(const OptimusConfig& config = {}) : config_(config) {}
 
   std::string name() const override { return "Optimus"; }
-  ScalingMechanism mechanism() const override { return ScalingMechanism::Checkpoint; }
   double period_s() const override { return config_.reschedule_period_s; }
 
   std::optional<cluster::Assignment> on_event(const ClusterState& state,

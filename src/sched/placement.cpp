@@ -62,4 +62,46 @@ void place_job_even(cluster::Assignment& assignment, JobId job,
   }
 }
 
+std::optional<cluster::Assignment> deploy_plan(const ClusterState& state,
+                                               const std::vector<PlannedJob>& plan) {
+  const cluster::Assignment& live = *state.current;
+  // JobView::gpus is c_j under the live schedule (0 when not placed): an O(1)
+  // read, where asking `live` would binary-search its job index per call.
+  const auto kept = [](const PlannedJob& p) {
+    ONES_EXPECT(p.workers >= 1);
+    return p.job->gpus == p.workers;
+  };
+  if (plan.size() == live.running_jobs().size() &&
+      std::all_of(plan.begin(), plan.end(), kept)) {
+    return std::nullopt;
+  }
+  cluster::Assignment next = cluster::Assignment::empty_like(live);
+  for (const PlannedJob& p : plan) {
+    if (!kept(p)) continue;
+    for (GpuId g : live.gpus_of(p.job->spec.id)) {
+      next.place(g, p.job->spec.id, live.slot(g).local_batch);
+    }
+  }
+  for (const PlannedJob& p : plan) {
+    if (kept(p)) continue;
+    const auto gpus = pick_idle_gpus(next, *state.topology, p.workers);
+    ONES_EXPECT_MSG(!gpus.empty(), "gang plan exceeds the healthy capacity");
+    place_job_even(next, p.job->spec.id, gpus, p.job->spec.requested_batch);
+  }
+  return next;
+}
+
+std::vector<PlannedJob> fit_requested(const ClusterState& state,
+                                      const std::vector<const JobView*>& ordered) {
+  int capacity = state.current->healthy_count();
+  std::vector<PlannedJob> plan;
+  for (const JobView* job : ordered) {
+    if (job->spec.requested_gpus <= capacity) {
+      plan.push_back({job, job->spec.requested_gpus});
+      capacity -= job->spec.requested_gpus;
+    }
+  }
+  return plan;
+}
+
 }  // namespace ones::sched

@@ -31,7 +31,6 @@ class PowerCapScheduler : public Scheduler {
   explicit PowerCapScheduler(const PowerCapConfig& config = {});
 
   std::string name() const override { return "PowerCap"; }
-  ScalingMechanism mechanism() const override { return ScalingMechanism::Checkpoint; }
 
   std::optional<cluster::Assignment> on_event(const ClusterState& state,
                                               const SchedulerEvent& event) override;

@@ -97,20 +97,14 @@ struct SchedulerEvent {
   JobId job = kInvalidJob;  ///< subject job (invalid for Timer)
 };
 
-/// Snapshot handed to the scheduler on every event.
+/// Snapshot handed to the scheduler on every event. Its job lists are
+/// incremental state (DESIGN.md §12) that change only through add_job and
+/// retire: the driver adds a job at arrival and retires it when it ends,
+/// and hand-built states in tests add their views the same way.
 struct ClusterState {
   double now = 0.0;
   const cluster::Topology* topology = nullptr;
   const cluster::Assignment* current = nullptr;
-  /// All submitted jobs (any status), indexed by JobId order of arrival.
-  std::vector<const JobView*> jobs;
-  /// Optional driver-maintained indexes (incremental scheduler state,
-  /// DESIGN.md §12). `active_index` holds the non-Completed subset of `jobs`
-  /// in the same arrival order; `id_index` holds all of `jobs` sorted by
-  /// JobId. When null (hand-built states in tests), every helper falls back
-  /// to scanning `jobs`, with identical results.
-  const std::vector<const JobView*>* active_index = nullptr;
-  const std::vector<const JobView*>* id_index = nullptr;
   const ThroughputOracle* oracle = nullptr;
   /// The driver's power model (DESIGN.md §10) — the same instance the
   /// EnergyMeter bills with, so energy-aware policies (ONES's lambda_energy
@@ -122,10 +116,27 @@ struct ClusterState {
   /// schedulers must predict from the epoch logs instead.
   std::function<double(JobId, int)> true_remaining_samples;
 
+  /// Append a submitted job (unique JobId). A Completed view joins only the
+  /// arrival and id lists, never the active one.
+  void add_job(const JobView* view);
+  /// Drop a job that just ended from the active list.
+  void retire(const JobView* view);
+
+  /// All submitted jobs (any status) in arrival order.
+  const std::vector<const JobView*>& jobs() const { return jobs_; }
+  /// Waiting + running + recovering jobs, in arrival order.
+  const std::vector<const JobView*>& active_jobs() const { return active_; }
+  /// All submitted jobs sorted by JobId.
+  const std::vector<const JobView*>& jobs_by_id() const { return by_id_; }
+  /// Null for an unknown id.
   const JobView* job(JobId id) const;
   std::vector<const JobView*> waiting_jobs() const;
   std::vector<const JobView*> running_jobs() const;
-  std::vector<const JobView*> active_jobs() const;  ///< waiting + running
+
+ private:
+  std::vector<const JobView*> jobs_;
+  std::vector<const JobView*> active_;
+  std::vector<const JobView*> by_id_;
 };
 
 class Scheduler {

@@ -25,6 +25,8 @@ const std::vector<double> kRecoveryLatencyBounds = {1.0,   10.0,  30.0,  60.0,
 /// Cumulative checkpoint-restarts a job has suffered when it restarts again.
 const std::vector<double> kRetryDepthBounds = {1.0, 2.0, 3.0, 4.0, 6.0, 8.0};
 
+bool id_less(const JobView* v, JobId id) { return v->spec.id < id; }
+
 }  // namespace
 
 const char* status_name(JobStatus status) {
@@ -48,27 +50,32 @@ const char* event_name(EventKind kind) {
   return "?";
 }
 
-const JobView* ClusterState::job(JobId id) const {
-  if (id_index != nullptr) {
-    const auto it = std::lower_bound(
-        id_index->begin(), id_index->end(), id,
-        [](const JobView* j, JobId want) { return j->spec.id < want; });
-    return it != id_index->end() && (*it)->spec.id == id ? *it : nullptr;
-  }
-  for (const JobView* j : jobs) {
-    if (j->spec.id == id) return j;
-  }
-  return nullptr;
+void ClusterState::add_job(const JobView* view) {
+  const auto at = std::lower_bound(by_id_.begin(), by_id_.end(), view->spec.id, id_less);
+  ONES_EXPECT_MSG(at == by_id_.end() || (*at)->spec.id != view->spec.id,
+                  "job added to the cluster state twice");
+  by_id_.insert(at, view);
+  jobs_.push_back(view);
+  if (view->status != JobStatus::Completed) active_.push_back(view);
 }
 
-// The status filters below may scan `active_index` instead of `jobs`:
-// Completed jobs match none of them, and the index preserves arrival order,
-// so the outputs are element-for-element identical — only the scan skips the
-// (ever-growing) completed tail.
+void ClusterState::retire(const JobView* view) {
+  const auto it = std::find(active_.begin(), active_.end(), view);
+  ONES_EXPECT_MSG(it != active_.end(), "retired job missing from the active list");
+  active_.erase(it);
+}
+
+const JobView* ClusterState::job(JobId id) const {
+  const auto it = std::lower_bound(by_id_.begin(), by_id_.end(), id, id_less);
+  return it != by_id_.end() && (*it)->spec.id == id ? *it : nullptr;
+}
+
+// Completed jobs match neither status filter, so both scan only the active
+// list (arrival order) and skip the ever-growing completed tail.
 
 std::vector<const JobView*> ClusterState::waiting_jobs() const {
   std::vector<const JobView*> out;
-  for (const JobView* j : active_index != nullptr ? *active_index : jobs) {
+  for (const JobView* j : active_) {
     if (j->status == JobStatus::Waiting) out.push_back(j);
   }
   return out;
@@ -76,17 +83,8 @@ std::vector<const JobView*> ClusterState::waiting_jobs() const {
 
 std::vector<const JobView*> ClusterState::running_jobs() const {
   std::vector<const JobView*> out;
-  for (const JobView* j : active_index != nullptr ? *active_index : jobs) {
+  for (const JobView* j : active_) {
     if (j->status == JobStatus::Running) out.push_back(j);
-  }
-  return out;
-}
-
-std::vector<const JobView*> ClusterState::active_jobs() const {
-  if (active_index != nullptr) return *active_index;
-  std::vector<const JobView*> out;
-  for (const JobView* j : jobs) {
-    if (j->status != JobStatus::Completed) out.push_back(j);
   }
   return out;
 }
@@ -136,9 +134,6 @@ ClusterSimulation::ClusterSimulation(const SimulationConfig& config,
   state_.current = &current_;
   state_.oracle = &oracle_;
   state_.power = &power_model_;
-  state_.active_index = &active_views_;
-  state_.id_index = &id_views_;
-  state_.jobs.reserve(trace_.size());
   state_.true_remaining_samples = [this](JobId job, int batch) {
     const auto& rt = runtime(job);
     ONES_EXPECT(rt.dynamics != nullptr);
@@ -188,10 +183,10 @@ const ClusterSimulation::JobRuntime& ClusterSimulation::runtime(JobId job) const
 
 const JobView& ClusterSimulation::job_view(JobId job) const { return runtime(job).view; }
 
-void ClusterSimulation::drop_active(const JobView& view) {
-  const auto it = std::find(active_views_.begin(), active_views_.end(), &view);
-  ONES_EXPECT_MSG(it != active_views_.end(), "completed job missing from active index");
-  active_views_.erase(it);
+void ClusterSimulation::cancel(sim::EventId& event) {
+  if (event == 0) return;
+  engine_.cancel(event);
+  event = 0;
 }
 
 telemetry::Summary ClusterSimulation::summary(const std::string& scheduler) const {
@@ -218,20 +213,28 @@ void ClusterSimulation::audit_state() const {
                       "down GPU still occupied after recovery (I9)");
     }
   }
-  ONES_EXPECT_MSG(state_.jobs.size() == arrived_order_.size(),
+  // The snapshot's lists against first principles: exactly the arrived jobs
+  // (those with dynamics, each submitted once) in arrival order, the
+  // non-Completed subset of them in the same order, and every job findable
+  // through the id index.
+  const auto& jobs = state_.jobs();
+  ONES_EXPECT_MSG(jobs.size() == metrics_.submitted(),
                   "snapshot job list out of sync with arrivals");
   std::vector<const JobView*> active;
-  for (std::size_t i = 0; i < arrived_order_.size(); ++i) {
-    const JobView& v = runtimes_.at(arrived_order_[i]).view;
-    ONES_EXPECT_MSG(state_.jobs[i] == &v, "snapshot job list out of arrival order");
-    if (v.status != JobStatus::Completed) active.push_back(&v);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const JobRuntime& rt = runtime(jobs[i]->spec.id);
+    ONES_EXPECT_MSG(jobs[i] == &rt.view && rt.dynamics != nullptr,
+                    "snapshot job list holds a job that never arrived");
+    ONES_EXPECT_MSG(i == 0 || jobs[i - 1]->spec.arrival_time_s <= jobs[i]->spec.arrival_time_s,
+                    "snapshot job list out of arrival order");
+    ONES_EXPECT_MSG(state_.job(jobs[i]->spec.id) == jobs[i], "id index lost a job");
+    if (jobs[i]->status != JobStatus::Completed) active.push_back(jobs[i]);
   }
-  ONES_EXPECT_MSG(active == active_views_, "active-job index diverged from runtimes");
-  ONES_EXPECT_MSG(id_views_.size() == arrived_order_.size(),
-                  "id index out of sync with arrivals");
-  for (std::size_t i = 1; i < id_views_.size(); ++i) {
-    ONES_EXPECT_MSG(id_views_[i - 1]->spec.id < id_views_[i]->spec.id,
-                    "id index not strictly sorted");
+  ONES_EXPECT_MSG(active == state_.active_jobs(), "active-job index diverged from runtimes");
+  const auto& by_id = state_.jobs_by_id();
+  ONES_EXPECT_MSG(by_id.size() == jobs.size(), "id index out of sync with arrivals");
+  for (std::size_t i = 1; i < by_id.size(); ++i) {
+    ONES_EXPECT_MSG(by_id[i - 1]->spec.id < by_id[i]->spec.id, "id index not strictly sorted");
   }
 }
 
@@ -274,15 +277,14 @@ void ClusterSimulation::run() {
   }
 }
 
-double ClusterSimulation::actual_tput(JobId job, const cluster::Assignment& assignment) const {
-  const auto& rt = runtime(job);
-  const auto gpus = assignment.gpus_of(job);
+double ClusterSimulation::actual_tput(const JobView& view,
+                                      const std::vector<GpuId>& gpus) const {
   ONES_EXPECT(!gpus.empty());
   std::vector<int> batches;
   batches.reserve(gpus.size());
-  for (GpuId g : gpus) batches.push_back(assignment.slot(g).local_batch);
+  for (GpuId g : gpus) batches.push_back(current_.slot(g).local_batch);
   const cluster::LinkProfile link = topology_.link_profile(gpus);
-  return model::throughput_sps(*rt.view.profile, batches, link);
+  return model::throughput_sps(*view.profile, batches, link);
 }
 
 int ClusterSimulation::busy_gpus() const {
@@ -303,7 +305,7 @@ void ClusterSimulation::sample_cluster_metrics() {
   if (registry_ == nullptr) return;
   const double now = engine_.now();
   double waiting = 0.0;
-  for (const JobView* v : active_views_) {  // Completed jobs are never Waiting
+  for (const JobView* v : state_.active_jobs()) {  // Completed jobs are never Waiting
     if (v->status == JobStatus::Waiting) waiting += 1.0;
   }
   const double busy = static_cast<double>(busy_gpus());
@@ -366,14 +368,7 @@ void ClusterSimulation::on_arrival(JobId job) {
   rt.dynamics = std::make_unique<model::TrainDynamics>(
       *rt.view.profile, rt.view.spec.variant.dataset_size, config_.convergence,
       rt.view.spec.dynamics_seed);
-  arrived_order_.push_back(job);
-  state_.jobs.push_back(&rt.view);
-  active_views_.push_back(&rt.view);
-  id_views_.insert(std::lower_bound(id_views_.begin(), id_views_.end(), job,
-                                    [](const JobView* v, JobId want) {
-                                      return v->spec.id < want;
-                                    }),
-                   &rt.view);
+  state_.add_job(&rt.view);
   metrics_.on_submit(job, engine_.now());
   if (registry_ != nullptr) {
     registry_->counter("sim_jobs_submitted_total").add();
@@ -394,49 +389,9 @@ void ClusterSimulation::on_arrival(JobId job) {
 }
 
 void ClusterSimulation::on_kill_event(JobId job) {
-  auto& rt = runtime(job);
-  rt.kill_event = 0;
-  ONES_EXPECT(rt.view.status != JobStatus::Completed);
-  const double now = engine_.now();
-  if (rt.view.status == JobStatus::Running) {
-    accrue(job, now);
-    if (rt.epoch_event != 0) {
-      engine_.cancel(rt.epoch_event);
-      rt.epoch_event = 0;
-    }
-    metrics_.on_run_end(job, now, /*preempted=*/false);
-    current_.evict(job);
-    update_busy();
-  }
-  if (rt.resume_event != 0) {
-    engine_.cancel(rt.resume_event);
-    rt.resume_event = 0;
-  }
-  if (rt.retry_event != 0) {
-    engine_.cancel(rt.retry_event);  // killed while waiting out a recovery backoff
-    rt.retry_event = 0;
-  }
-  rt.view.status = JobStatus::Completed;
-  drop_active(rt.view);
-  rt.view.aborted = true;
-  rt.view.gpus = 0;
-  rt.view.global_batch = 0;
-  rt.tput_sps = 0.0;
-  metrics_.on_abort(job, now);
-  ++completed_count_;
-  maybe_halt_faults();
-  if (registry_ != nullptr) {
-    registry_->counter("sim_jobs_aborted_total").add();
-    record_batch_point(job);
-    sample_cluster_metrics();
-  }
-  if (sink_ != nullptr) {
-    sink_->on_record({.kind = trace::RecordKind::JobCompleted,
-                      .t = now,
-                      .job = job,
-                      .aborted = true,
-                      .detail = ""});
-  }
+  runtime(job).kill_event = 0;
+  accrue(job, engine_.now());  // progress up to the abnormal ending, if running
+  retire_job(job, engine_.now(), /*aborted=*/true);
   notify(EventKind::JobComplete, job);
 }
 
@@ -533,76 +488,28 @@ void ClusterSimulation::recover_job(JobId job, double now) {
 
   if (scheduler_.mechanism() == ScalingMechanism::Elastic && !survivors.empty()) {
     // Elastic shrink-on-failure: drop the dead workers and keep training on
-    // the survivors — capacity churn is a resize, not a restart. Mirrors the
-    // reconfigure path of apply() exactly (same trace bracket, I7).
+    // the survivors — capacity churn is a resize, not a restart, and takes
+    // the same reconfigure path (and trace bracket, I7) as apply().
     const int old_workers = static_cast<int>(gpus.size());
     const int old_batch = rt.view.global_batch;
     for (const GpuId g : lost) current_.clear(g);
-    const int new_batch = current_.global_batch(job);
-    rt.view.gpus = static_cast<int>(survivors.size());
-    rt.view.global_batch = new_batch;
-    const cluster::LinkProfile link = topology_.link_profile(survivors);
-    const double cost =
-        cost_model_.elastic_cost_s(*rt.view.profile, old_workers, rt.view.gpus, link);
-    if (new_batch != old_batch) rt.dynamics->on_batch_resize(old_batch, new_batch);
-    rt.last_batch = new_batch;
-    rt.tput_sps = actual_tput(job, current_);
-    rt.view.throughput_sps = rt.tput_sps;
-    rt.produce_start = now + cost;
-    rt.last_accrue = rt.produce_start;
-    if (rt.epoch_event != 0) {
-      engine_.cancel(rt.epoch_event);
-      rt.epoch_event = 0;
-    }
+    const double cost = scaling_cost(rt.view, old_workers, survivors);
+    reconfigure_job(job, old_workers, old_batch, survivors, cost, now);
     if (registry_ != nullptr) {
       registry_->counter("fault_job_shrinks_total").add();
-      registry_->counter("sim_reconfigurations_total").add();
-      registry_->counter("sim_reconfig_overhead_seconds_total").add(cost);
       registry_
           ->histogram("fault_recovery_latency_seconds", kRecoveryLatencyBounds)
           .observe(cost);
-      record_batch_point(job);
     }
     if (sink_ != nullptr) {
-      sink_->on_record({.kind = trace::RecordKind::ElasticPaused,
-                        .t = now,
-                        .job = job,
-                        .cost_s = cost,
-                        .detail = "elastic"});
-      if (new_batch != old_batch) {
-        sink_->on_record({.kind = trace::RecordKind::BatchResized,
-                          .t = now,
-                          .job = job,
-                          .global_batch = new_batch,
-                          .old_batch = old_batch,
-                          .detail = ""});
-      }
-      sink_->on_record({.kind = trace::RecordKind::JobReconfigured,
-                        .t = now,
-                        .job = job,
-                        .gpus = rt.view.gpus,
-                        .global_batch = new_batch,
-                        .old_gpus = old_workers,
-                        .old_batch = old_batch,
-                        .cost_s = cost,
-                        .detail = trace::format_gpu_list(survivors)});
       sink_->on_record({.kind = trace::RecordKind::JobRecovered,
                         .t = now,
                         .job = job,
                         .gpus = rt.view.gpus,
-                        .global_batch = new_batch,
+                        .global_batch = rt.view.global_batch,
                         .count = static_cast<std::uint64_t>(rt.restarts),
                         .detail = "shrink"});
-      if (rt.resume_event != 0) engine_.cancel(rt.resume_event);
-      rt.resume_event = engine_.schedule_at(rt.produce_start, [this, job] {
-        runtime(job).resume_event = 0;
-        sink_->on_record({.kind = trace::RecordKind::ElasticResumed,
-                          .t = engine_.now(),
-                          .job = job,
-                          .detail = ""});
-      });
     }
-    schedule_epoch_event(job);
     return;
   }
 
@@ -627,7 +534,10 @@ void ClusterSimulation::recover_job(JobId job, double now) {
         .observe(static_cast<double>(rt.restarts));
   }
   if (rt.restarts > config_.fault.max_restarts) {
-    abort_recovery(job, now);
+    // Retry budget exhausted: the job leaves the system as an abnormal
+    // ending, with its lost GPU-seconds on the record (I10).
+    if (registry_ != nullptr) registry_->counter("fault_jobs_aborted_total").add();
+    retire_job(job, now, /*aborted=*/true, rt.lost_gpu_s, "retries_exhausted");
     return;
   }
   rt.view.status = JobStatus::Recovering;
@@ -643,38 +553,6 @@ void ClusterSimulation::on_retry_event(JobId job) {
   rt.view.status = JobStatus::Waiting;
   if (registry_ != nullptr) sample_cluster_metrics();
   notify(EventKind::CapacityChange, job);
-}
-
-void ClusterSimulation::abort_recovery(JobId job, double now) {
-  auto& rt = runtime(job);
-  // Retry budget exhausted: the job leaves the system as an abnormal ending,
-  // with its lost GPU-seconds on the record (I10). Mirrors on_kill_event's
-  // bookkeeping; the job already released its GPUs in recover_job.
-  if (rt.kill_event != 0) {
-    engine_.cancel(rt.kill_event);
-    rt.kill_event = 0;
-  }
-  rt.view.status = JobStatus::Completed;
-  drop_active(rt.view);
-  rt.view.aborted = true;
-  rt.pending_recovery = false;
-  metrics_.on_abort(job, now);
-  ++completed_count_;
-  maybe_halt_faults();
-  if (registry_ != nullptr) {
-    registry_->counter("sim_jobs_aborted_total").add();
-    registry_->counter("fault_jobs_aborted_total").add();
-    record_batch_point(job);
-    sample_cluster_metrics();
-  }
-  if (sink_ != nullptr) {
-    sink_->on_record({.kind = trace::RecordKind::JobCompleted,
-                      .t = now,
-                      .job = job,
-                      .cost_s = rt.lost_gpu_s,
-                      .aborted = true,
-                      .detail = "retries_exhausted"});
-  }
 }
 
 void ClusterSimulation::on_epoch_event(JobId job) {
@@ -694,7 +572,7 @@ void ClusterSimulation::on_epoch_event(JobId job) {
   }
 
   if (rt.dynamics->converged()) {
-    complete_job(job, engine_.now());
+    retire_job(job, engine_.now(), /*aborted=*/false);
     notify(EventKind::JobComplete, job);
     return;
   }
@@ -786,116 +664,122 @@ void ClusterSimulation::apply(cluster::Assignment next) {
 
   const cluster::AssignmentDelta delta = cluster::diff(current_, next);
   for (JobId j : delta.stopped) stop_job(j, now);
-  // Install the new allocation before computing placement-dependent costs.
-  const cluster::Assignment prev = current_;
-  current_ = next;
-  for (JobId j : delta.started) start_job(j, next, now);
+  // The cost model needs each reconfigured job's previous shape; then install
+  // the new allocation before computing placement-dependent costs.
+  std::vector<std::pair<int, int>> old_shape;
+  old_shape.reserve(delta.reconfigured.size());
   for (JobId j : delta.reconfigured) {
-    // Need the previous worker count for the cost model.
-    auto& rt = runtime(j);
-    const int old_workers = prev.gpu_count(j);
-    const int old_batch = prev.global_batch(j);
-    rt.view.gpus = next.gpu_count(j);
-    rt.view.global_batch = next.global_batch(j);
-    const auto gpus = next.gpus_of(j);
-    const cluster::LinkProfile link = topology_.link_profile(gpus);
-    double cost = 0.0;
-    if (scheduler_.mechanism() == ScalingMechanism::Elastic) {
-      cost = cost_model_.elastic_cost_s(*rt.view.profile, old_workers, rt.view.gpus, link);
-    } else {
-      cost = cost_model_.checkpoint_cost_s(*rt.view.profile, rt.view.gpus);
-    }
-    if (rt.view.global_batch != old_batch) {
-      rt.dynamics->on_batch_resize(old_batch, rt.view.global_batch);
-    }
-    rt.last_batch = rt.view.global_batch;
-    rt.tput_sps = actual_tput(j, next);
-    rt.view.throughput_sps = rt.tput_sps;
-    rt.produce_start = now + cost;
-    rt.last_accrue = rt.produce_start;
-    if (rt.epoch_event != 0) {
-      engine_.cancel(rt.epoch_event);
-      rt.epoch_event = 0;
-    }
-    if (registry_ != nullptr) {
-      registry_->counter("sim_reconfigurations_total").add();
-      registry_->counter("sim_reconfig_overhead_seconds_total").add(cost);
-      record_batch_point(j);
-    }
-    if (sink_ != nullptr) {
-      sink_->on_record({.kind = trace::RecordKind::ElasticPaused,
-                        .t = now,
-                        .job = j,
-                        .cost_s = cost,
-                        .detail = scheduler_.mechanism() == ScalingMechanism::Elastic
-                                      ? "elastic"
-                                      : "checkpoint"});
-      if (rt.view.global_batch != old_batch) {
-        sink_->on_record({.kind = trace::RecordKind::BatchResized,
-                          .t = now,
-                          .job = j,
-                          .global_batch = rt.view.global_batch,
-                          .old_batch = old_batch,
-                          .detail = ""});
-      }
-      sink_->on_record({.kind = trace::RecordKind::JobReconfigured,
-                        .t = now,
-                        .job = j,
-                        .gpus = rt.view.gpus,
-                        .global_batch = rt.view.global_batch,
-                        .old_gpus = old_workers,
-                        .old_batch = old_batch,
-                        .cost_s = cost,
-                        .detail = trace::format_gpu_list(gpus)});
-      // The resume record must carry the resume timestamp, so it is emitted
-      // by a side-effect-free engine event at produce_start (cancelled if the
-      // job is stopped first). A re-reconfiguration during the pause replaces
-      // the pending resume: one bracket, closed once.
-      if (rt.resume_event != 0) engine_.cancel(rt.resume_event);
-      rt.resume_event = engine_.schedule_at(rt.produce_start, [this, j] {
-        runtime(j).resume_event = 0;
-        sink_->on_record({.kind = trace::RecordKind::ElasticResumed,
-                          .t = engine_.now(),
-                          .job = j,
-                          .detail = ""});
-      });
-    }
-    schedule_epoch_event(j);
+    old_shape.emplace_back(current_.gpu_count(j), current_.global_batch(j));
+  }
+  current_ = std::move(next);
+  for (JobId j : delta.started) start_job(j, now);
+  for (std::size_t i = 0; i < delta.reconfigured.size(); ++i) {
+    const JobId j = delta.reconfigured[i];
+    const auto [old_workers, old_batch] = old_shape[i];
+    const auto gpus = current_.gpus_of(j);
+    reconfigure_job(j, old_workers, old_batch, gpus,
+                    scaling_cost(runtime(j).view, old_workers, gpus), now);
   }
   update_busy();
 }
 
-void ClusterSimulation::start_job(JobId job, const cluster::Assignment& next, double now) {
+double ClusterSimulation::scaling_cost(const JobView& view, int old_workers,
+                                       const std::vector<GpuId>& gpus) const {
+  const int workers = static_cast<int>(gpus.size());
+  if (scheduler_.mechanism() == ScalingMechanism::Checkpoint) {
+    return cost_model_.checkpoint_cost_s(*view.profile, workers);
+  }
+  if (old_workers == 0) {
+    // Warm resume of a preempted job: agents reconnect and reload weights.
+    const auto& cc = cost_model_.config();
+    return cc.reconnect_base_s + cc.model_load_s + view.profile->params_bytes / cc.hdfs_bw_Bps;
+  }
+  return cost_model_.elastic_cost_s(*view.profile, old_workers, workers,
+                                    topology_.link_profile(gpus));
+}
+
+void ClusterSimulation::reconfigure_job(JobId job, int old_workers, int old_batch,
+                                        const std::vector<GpuId>& gpus, double cost,
+                                        double now) {
+  auto& rt = runtime(job);
+  rt.view.gpus = static_cast<int>(gpus.size());
+  rt.view.global_batch = current_.global_batch(job);
+  if (rt.view.global_batch != old_batch) {
+    rt.dynamics->on_batch_resize(old_batch, rt.view.global_batch);
+  }
+  rt.last_batch = rt.view.global_batch;
+  rt.tput_sps = actual_tput(rt.view, gpus);
+  rt.view.throughput_sps = rt.tput_sps;
+  rt.produce_start = now + cost;
+  rt.last_accrue = rt.produce_start;
+  cancel(rt.epoch_event);
+  if (registry_ != nullptr) {
+    registry_->counter("sim_reconfigurations_total").add();
+    registry_->counter("sim_reconfig_overhead_seconds_total").add(cost);
+    record_batch_point(job);
+  }
+  if (sink_ != nullptr) {
+    sink_->on_record({.kind = trace::RecordKind::ElasticPaused,
+                      .t = now,
+                      .job = job,
+                      .cost_s = cost,
+                      .detail = scheduler_.mechanism() == ScalingMechanism::Elastic
+                                    ? "elastic"
+                                    : "checkpoint"});
+    if (rt.view.global_batch != old_batch) {
+      sink_->on_record({.kind = trace::RecordKind::BatchResized,
+                        .t = now,
+                        .job = job,
+                        .global_batch = rt.view.global_batch,
+                        .old_batch = old_batch,
+                        .detail = ""});
+    }
+    sink_->on_record({.kind = trace::RecordKind::JobReconfigured,
+                      .t = now,
+                      .job = job,
+                      .gpus = rt.view.gpus,
+                      .global_batch = rt.view.global_batch,
+                      .old_gpus = old_workers,
+                      .old_batch = old_batch,
+                      .cost_s = cost,
+                      .detail = trace::format_gpu_list(gpus)});
+    // The resume record must carry the resume timestamp, so it is emitted
+    // by a side-effect-free engine event at produce_start (cancelled if the
+    // job is stopped first). A re-reconfiguration during the pause replaces
+    // the pending resume: one bracket, closed once.
+    cancel(rt.resume_event);
+    rt.resume_event = engine_.schedule_at(rt.produce_start, [this, job] {
+      runtime(job).resume_event = 0;
+      sink_->on_record({.kind = trace::RecordKind::ElasticResumed,
+                        .t = engine_.now(),
+                        .job = job,
+                        .detail = ""});
+    });
+  }
+  schedule_epoch_event(job);
+}
+
+void ClusterSimulation::start_job(JobId job, double now) {
   auto& rt = runtime(job);
   // Placing a Recovering job is allowed: its backoff ends early.
   ONES_EXPECT(rt.view.status == JobStatus::Waiting ||
               rt.view.status == JobStatus::Recovering);
-  if (rt.retry_event != 0) {
-    engine_.cancel(rt.retry_event);
-    rt.retry_event = 0;
-  }
+  cancel(rt.retry_event);
   rt.view.status = JobStatus::Running;
   metrics_.on_run_start(job, now);
 
   const bool first_run = !rt.ever_ran;
   const int prev_batch = rt.last_batch;
-  const int new_batch = next.global_batch(job);
+  const int new_batch = current_.global_batch(job);
+  const auto gpus = current_.gpus_of(job);
   double cost;
   if (!rt.ever_ran) {
     cost = cost_model_.cold_start_cost_s(*rt.view.profile);
     rt.ever_ran = true;
     rt.last_batch = new_batch;
   } else {
-    // Resuming a preempted job: reload state. The elastic mechanism keeps the
-    // runtime warm (agents reconnect + reload weights); checkpoint restarts
-    // the whole stack.
-    if (scheduler_.mechanism() == ScalingMechanism::Elastic) {
-      const auto& cc = cost_model_.config();
-      cost = cc.reconnect_base_s + cc.model_load_s +
-             rt.view.profile->params_bytes / cc.hdfs_bw_Bps;
-    } else {
-      cost = cost_model_.checkpoint_cost_s(*rt.view.profile, next.gpu_count(job));
-    }
+    // Resuming a preempted job: reload state under the scheduler's mechanism.
+    cost = scaling_cost(rt.view, /*old_workers=*/0, gpus);
     if (new_batch != rt.last_batch) {
       rt.dynamics->on_batch_resize(rt.last_batch, new_batch);
       rt.last_batch = new_batch;
@@ -907,9 +791,9 @@ void ClusterSimulation::start_job(JobId job, const cluster::Assignment& next, do
   cost += redo;
   rt.redo_s = 0.0;
 
-  rt.view.gpus = next.gpu_count(job);
+  rt.view.gpus = static_cast<int>(gpus.size());
   rt.view.global_batch = new_batch;
-  rt.tput_sps = actual_tput(job, next);
+  rt.tput_sps = actual_tput(rt.view, gpus);
   rt.view.throughput_sps = rt.tput_sps;
   rt.produce_start = now + cost;
   rt.last_accrue = rt.produce_start;
@@ -938,7 +822,7 @@ void ClusterSimulation::start_job(JobId job, const cluster::Assignment& next, do
                       .gpus = rt.view.gpus,
                       .global_batch = new_batch,
                       .cost_s = cost,
-                      .detail = trace::format_gpu_list(next.gpus_of(job))});
+                      .detail = trace::format_gpu_list(gpus)});
   }
   if (rt.pending_recovery) {
     // This placement closes a checkpoint-restart recovery (I10).
@@ -965,14 +849,8 @@ void ClusterSimulation::start_job(JobId job, const cluster::Assignment& next, do
 void ClusterSimulation::stop_job(JobId job, double now) {
   auto& rt = runtime(job);
   ONES_EXPECT(rt.view.status == JobStatus::Running);
-  if (rt.epoch_event != 0) {
-    engine_.cancel(rt.epoch_event);
-    rt.epoch_event = 0;
-  }
-  if (rt.resume_event != 0) {
-    engine_.cancel(rt.resume_event);  // preempted mid-pause; bracket closes here
-    rt.resume_event = 0;
-  }
+  cancel(rt.epoch_event);
+  cancel(rt.resume_event);  // preempted mid-pause; the bracket closes here
   if (sink_ != nullptr) {
     sink_->on_record({.kind = trace::RecordKind::JobPreempted,
                       .t = now,
@@ -994,38 +872,48 @@ void ClusterSimulation::stop_job(JobId job, double now) {
   }
 }
 
-void ClusterSimulation::complete_job(JobId job, double now) {
+void ClusterSimulation::retire_job(JobId job, double now, bool aborted, double cost_s,
+                                   const char* detail) {
   auto& rt = runtime(job);
-  ONES_EXPECT(rt.view.status == JobStatus::Running);
-  if (rt.epoch_event != 0) {
-    engine_.cancel(rt.epoch_event);
-    rt.epoch_event = 0;
-  }
-  if (rt.kill_event != 0) {
-    engine_.cancel(rt.kill_event);  // converged before the abnormal ending
-    rt.kill_event = 0;
-  }
-  if (rt.resume_event != 0) {
-    engine_.cancel(rt.resume_event);
-    rt.resume_event = 0;
-  }
+  ONES_EXPECT(rt.view.status != JobStatus::Completed);
+  cancel(rt.epoch_event);
+  cancel(rt.kill_event);  // converged (or gave up) before the abnormal ending
+  cancel(rt.resume_event);
+  cancel(rt.retry_event);  // killed while waiting out a recovery backoff
+  const bool was_running = rt.view.status == JobStatus::Running;
   rt.view.status = JobStatus::Completed;
-  drop_active(rt.view);
+  rt.view.aborted = aborted;
   rt.view.gpus = 0;
   rt.view.global_batch = 0;
-  metrics_.on_run_end(job, now, /*preempted=*/false);
-  metrics_.on_complete(job, now);
-  current_.evict(job);
-  update_busy();
+  rt.tput_sps = 0.0;
+  rt.pending_recovery = false;
+  state_.retire(&rt.view);
+  if (was_running) {
+    metrics_.on_run_end(job, now, /*preempted=*/false);
+    current_.evict(job);
+    update_busy();
+  }
+  if (aborted) {
+    metrics_.on_abort(job, now);
+  } else {
+    metrics_.on_complete(job, now);
+  }
   ++completed_count_;
   maybe_halt_faults();
   if (registry_ != nullptr) {
-    registry_->counter("sim_jobs_completed_total").add();
+    registry_->counter(aborted ? "sim_jobs_aborted_total" : "sim_jobs_completed_total").add();
     record_batch_point(job);
+    // A running job's exit was sampled by update_busy(); a queued one's
+    // moves the queue depth.
+    if (!was_running) sample_cluster_metrics();
   }
   if (sink_ != nullptr) {
-    sink_->on_record(
-        {.kind = trace::RecordKind::JobCompleted, .t = now, .job = job, .detail = ""});
+    sink_->on_record({.kind = trace::RecordKind::JobCompleted,
+                      .t = now,
+                      .job = job,
+                      .cost_s = cost_s,
+                      .aborted = aborted,
+                      .detail = detail});
   }
 }
 

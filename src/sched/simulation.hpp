@@ -52,7 +52,7 @@ struct SimulationConfig {
   double max_sim_time_s = 1e7;
   /// Audit mode (DESIGN.md §12): after every scheduler notification,
   /// recompute all incremental indexes (Assignment's idle/per-job stats, the
-  /// driver's active/id job indexes) from first principles and throw on any
+  /// ClusterState job lists) from first principles and throw on any
   /// divergence. Pure cross-check — it must never change results — so like
   /// the trace/metrics sinks it is deliberately NOT an orchestrator
   /// cache-key input. O(G + J) per event: tests only.
@@ -142,8 +142,6 @@ class ClusterSimulation {
   void recover_job(JobId job, double now);
   /// Backoff expiry: a Recovering job rejoins the queue.
   void on_retry_event(JobId job);
-  /// Abort a job whose restart budget is exhausted.
-  void abort_recovery(JobId job, double now);
   /// Stop fault injection once the whole trace has completed.
   void maybe_halt_faults();
   void notify(EventKind kind, JobId job);
@@ -151,11 +149,29 @@ class ClusterSimulation {
   void validate(const cluster::Assignment& next) const;
 
   void accrue(JobId job, double now);
-  void start_job(JobId job, const cluster::Assignment& next, double now);
+  /// Start (or resume) a job on its GPUs in the installed `current_`.
+  void start_job(JobId job, double now);
   void stop_job(JobId job, double now);
-  void complete_job(JobId job, double now);
+  /// The one reconfigure path (apply() and the elastic shrink-on-failure):
+  /// move a running job from `old_workers` x `old_batch` to its GPUs in the
+  /// installed `current_`, blocking production for `cost` seconds.
+  void reconfigure_job(JobId job, int old_workers, int old_batch,
+                       const std::vector<GpuId>& gpus, double cost, double now);
+  /// The one job ending: normal completion, kill, or retries exhausted.
+  /// Frees the job's GPUs if it was running; `cost_s`/`detail` go on the
+  /// JobCompleted record. The caller owes the scheduler its notification.
+  void retire_job(JobId job, double now, bool aborted, double cost_s = 0.0,
+                  const char* detail = "");
+  /// Blocked seconds the scheduler's mechanism charges to run a job on
+  /// `gpus` after `old_workers` (0: resuming a preempted job) — an elastic
+  /// resize or warm resume, or a checkpoint restart (paper §4.3).
+  double scaling_cost(const JobView& view, int old_workers,
+                      const std::vector<GpuId>& gpus) const;
+  /// Cancel a pending engine event (no-op for 0) and clear its handle.
+  void cancel(sim::EventId& event);
   void schedule_epoch_event(JobId job);
-  double actual_tput(JobId job, const cluster::Assignment& assignment) const;
+  /// True throughput of a job running on `gpus` of the installed `current_`.
+  double actual_tput(const JobView& view, const std::vector<GpuId>& gpus) const;
   /// GPUs actually running a worker (down-but-idle GPUs are neither busy
   /// nor idle); equals total - idle with no faults in play.
   int busy_gpus() const;
@@ -172,8 +188,6 @@ class ClusterSimulation {
   /// SimulationConfig::audit_incremental: recompute every incremental index
   /// from first principles and throw on divergence.
   void audit_state() const;
-  /// Remove a job that just completed from the active-job index.
-  void drop_active(const JobView& view);
 
   SimulationConfig config_;
   std::vector<workload::JobSpec> trace_;
@@ -190,16 +204,12 @@ class ClusterSimulation {
   /// Null unless SimulationConfig::fault.enabled().
   std::unique_ptr<cluster::FaultInjector> injector_;
 
-  // ones-lint: unordered-ok(keyed lookup via runtime() only; every traversal goes through arrived_order_, which fixes iteration to arrival order)
+  // ones-lint: unordered-ok(keyed lookup via runtime() only; every traversal goes through state_'s arrival-ordered lists)
   std::unordered_map<JobId, JobRuntime> runtimes_;
-  std::vector<JobId> arrived_order_;
-  /// Persistent scheduler snapshot (DESIGN.md §12). `state_.jobs` grows at
-  /// arrival; `active_views_` (arrival order) also shrinks at completion and
-  /// `id_views_` keeps all views sorted by JobId. JobView pointers are
-  /// stable: runtimes_ is node-based and never erased from.
+  /// Persistent scheduler snapshot (DESIGN.md §12): each job is added at
+  /// arrival and retired when it ends. JobView pointers are stable:
+  /// runtimes_ is node-based and never erased from.
   ClusterState state_;
-  std::vector<const JobView*> active_views_;
-  std::vector<const JobView*> id_views_;
   std::size_t completed_count_ = 0;
   std::uint64_t deployments_ = 0;
   bool in_notify_ = false;

@@ -15,7 +15,6 @@ namespace ones::sched {
 class SrtfOracleScheduler : public Scheduler {
  public:
   std::string name() const override { return "SRTF*"; }
-  ScalingMechanism mechanism() const override { return ScalingMechanism::Checkpoint; }
 
   std::optional<cluster::Assignment> on_event(const ClusterState& state,
                                               const SchedulerEvent& event) override;

@@ -31,7 +31,6 @@ class TiresiasScheduler : public Scheduler {
   explicit TiresiasScheduler(const TiresiasConfig& config = {}) : config_(config) {}
 
   std::string name() const override { return "Tiresias"; }
-  ScalingMechanism mechanism() const override { return ScalingMechanism::Checkpoint; }
 
   std::optional<cluster::Assignment> on_event(const ClusterState& state,
                                               const SchedulerEvent& event) override;

@@ -1,5 +1,8 @@
 #include "workload/trace_io.hpp"
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -20,6 +23,21 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   while (std::getline(is, field, ',')) fields.push_back(field);
   // A trailing empty field is dropped by getline; our schema has none.
   return fields;
+}
+
+/// Parse one whole numeric field. std::from_chars takes no leading sign on
+/// unsigned types (std::stoull would wrap "-1" to 2^64 - 1) and stops at the
+/// first character it cannot use, so "20000x" and "2.9"-as-an-integer are
+/// rejected here instead of silently truncated.
+template <typename T>
+T parse_field(const std::string& field, const std::string& where) {
+  T value{};
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  ONES_EXPECT_MSG(ec != std::errc::invalid_argument, where + "non-numeric field '" + field + "'");
+  ONES_EXPECT_MSG(ec != std::errc::result_out_of_range, where + "value out of range '" + field + "'");
+  ONES_EXPECT_MSG(ptr == end, where + "trailing characters in '" + field + "'");
+  return value;
 }
 }  // namespace
 
@@ -48,33 +66,33 @@ std::vector<JobSpec> read_trace_csv(std::istream& is) {
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty()) continue;
+    const std::string where = "line " + std::to_string(line_no) + ": ";
     const auto f = split_csv_line(line);
-    ONES_EXPECT_MSG(f.size() == 10,
-                    "line " + std::to_string(line_no) + ": expected 10 fields");
-    try {
-      JobSpec spec;
-      spec.id = std::stoll(f[0]);
-      spec.variant.model_name = f[1];
-      spec.variant.dataset = f[2];
-      spec.variant.dataset_size = std::stoll(f[3]);
-      spec.variant.num_classes = std::stoi(f[4]);
-      spec.arrival_time_s = std::stod(f[5]);
-      spec.requested_gpus = std::stoi(f[6]);
-      spec.requested_batch = std::stoi(f[7]);
-      spec.dynamics_seed = std::stoull(f[8]);
-      spec.kill_after_s = std::stod(f[9]);
-      // Validate against the catalog and basic feasibility.
-      (void)model::profile_by_name(spec.variant.model_name);
-      ONES_EXPECT(spec.variant.dataset_size > 0);
-      ONES_EXPECT(spec.requested_gpus >= 1);
-      ONES_EXPECT(spec.requested_batch >= spec.requested_gpus);
-      ONES_EXPECT(spec.arrival_time_s >= 0.0);
-      trace.push_back(std::move(spec));
-    } catch (const std::invalid_argument&) {
-      ONES_EXPECT_MSG(false, "line " + std::to_string(line_no) + ": non-numeric field");
-    } catch (const std::out_of_range&) {
-      ONES_EXPECT_MSG(false, "line " + std::to_string(line_no) + ": value out of range");
-    }
+    ONES_EXPECT_MSG(f.size() == 10, where + "expected 10 fields");
+    JobSpec spec;
+    spec.id = parse_field<JobId>(f[0], where);
+    spec.variant.model_name = f[1];
+    spec.variant.dataset = f[2];
+    spec.variant.dataset_size = parse_field<std::int64_t>(f[3], where);
+    spec.variant.num_classes = parse_field<int>(f[4], where);
+    spec.arrival_time_s = parse_field<double>(f[5], where);
+    spec.requested_gpus = parse_field<int>(f[6], where);
+    spec.requested_batch = parse_field<int>(f[7], where);
+    spec.dynamics_seed = parse_field<std::uint64_t>(f[8], where);
+    spec.kill_after_s = parse_field<double>(f[9], where);
+    // Validate against the catalog and basic feasibility.
+    (void)model::profile_by_name(spec.variant.model_name);
+    ONES_EXPECT_MSG(spec.variant.dataset_size > 0, where + "dataset_size must be positive");
+    ONES_EXPECT_MSG(spec.variant.num_classes >= 1, where + "num_classes must be at least 1");
+    ONES_EXPECT_MSG(std::isfinite(spec.arrival_time_s) && spec.arrival_time_s >= 0.0,
+                    where + "arrival_s must be finite and non-negative");
+    ONES_EXPECT_MSG(spec.requested_gpus >= 1, where + "requested_gpus must be at least 1");
+    ONES_EXPECT_MSG(spec.requested_batch >= spec.requested_gpus,
+                    where + "requested_batch must be at least requested_gpus");
+    // 0 is the "never killed" value.
+    ONES_EXPECT_MSG(std::isfinite(spec.kill_after_s) && spec.kill_after_s >= 0.0,
+                    where + "kill_after_s must be finite and non-negative");
+    trace.push_back(std::move(spec));
   }
   return trace;
 }

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/annealing.hpp"
 #include "sched/fifo.hpp"
@@ -137,6 +140,47 @@ TEST(TraceIo, RejectsNonNumericField) {
         "requested_batch,dynamics_seed,kill_after_s\n";
   ss << "zero,ResNet18,CIFAR10-20k,20000,10,0,1,256,7,0\n";
   EXPECT_THROW(workload::read_trace_csv(ss), std::logic_error);
+}
+
+TEST(TraceIo, RejectsMalformedNumbersNamingTheLine) {
+  // Each row is one bad field away from the valid row below; the error must
+  // name the data line (the header is line 1, the good row line 2).
+  const std::string good = "0,ResNet18,CIFAR10-20k,20000,10,0,1,256,7,0\n";
+  const std::vector<std::pair<const char*, std::string>> bad = {
+      {"trailing characters after a number", "1,ResNet18,CIFAR10-20k,20000x,10,0,1,256,7,0"},
+      {"fractional integer", "1,ResNet18,CIFAR10-20k,20000,10,0,2.9,256,7,0"},
+      {"signed unsigned seed", "1,ResNet18,CIFAR10-20k,20000,10,0,1,256,-1,0"},
+      {"plus-signed unsigned seed", "1,ResNet18,CIFAR10-20k,20000,10,0,1,256,+1,0"},
+      {"negative kill_after_s", "1,ResNet18,CIFAR10-20k,20000,10,0,1,256,7,-5"},
+      {"NaN kill_after_s", "1,ResNet18,CIFAR10-20k,20000,10,0,1,256,7,nan"},
+      {"infinite kill_after_s", "1,ResNet18,CIFAR10-20k,20000,10,0,1,256,7,inf"},
+      {"infinite arrival_s", "1,ResNet18,CIFAR10-20k,20000,10,inf,1,256,7,0"},
+      {"NaN arrival_s", "1,ResNet18,CIFAR10-20k,20000,10,nan,1,256,7,0"},
+      {"negative num_classes", "1,ResNet18,CIFAR10-20k,20000,-3,0,1,256,7,0"},
+      {"zero num_classes", "1,ResNet18,CIFAR10-20k,20000,0,0,1,256,7,0"},
+  };
+  for (const auto& [what, row] : bad) {
+    std::stringstream ss;
+    workload::write_trace_csv(ss, {});
+    ss.seekp(0, std::ios::end);
+    ss << good << row << '\n';
+    try {
+      workload::read_trace_csv(ss);
+      ADD_FAILURE() << what << " was accepted: " << row;
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3:"), std::string::npos)
+          << what << ": " << e.what();
+    }
+  }
+  // The boundary values stay valid: 0 means "never killed".
+  std::stringstream ok;
+  workload::write_trace_csv(ok, {});
+  ok.seekp(0, std::ios::end);
+  ok << good << "1,ResNet18,CIFAR10-20k,20000,1,0.5,1,256,18446744073709551615,0\n";
+  const auto loaded = workload::read_trace_csv(ok);
+  ASSERT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded[1].dynamics_seed, 18446744073709551615ULL);
+  EXPECT_EQ(loaded[1].kill_after_s, 0.0);
 }
 
 TEST(TraceIo, SaveAndLoadFile) {

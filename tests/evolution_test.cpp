@@ -65,12 +65,12 @@ class Fixture {
   }
 
   EvolutionContext context(const predict::ProgressPredictor* predictor = nullptr) {
+    state_ = sched::ClusterState{};
     state_.now = 100.0;
     state_.topology = &topo_;
     state_.current = &current_;
     state_.oracle = &oracle_;
-    state_.jobs.clear();
-    for (auto& v : views_) state_.jobs.push_back(v.get());
+    for (auto& v : views_) state_.add_job(v.get());
     return make_context(state_, predictor, &limits_);
   }
 

@@ -74,7 +74,7 @@ class InvariantChecker : public sched::Scheduler {
   void check(const sched::ClusterState& state) {
     state.current->check_invariants();
     // Status consistency: running <=> has workers in the live assignment.
-    for (const sched::JobView* v : state.jobs) {
+    for (const sched::JobView* v : state.jobs()) {
       const int gpus = state.current->gpu_count(v->spec.id);
       switch (v->status) {
         case sched::JobStatus::Running:
@@ -85,6 +85,7 @@ class InvariantChecker : public sched::Scheduler {
           break;
         case sched::JobStatus::Waiting:
         case sched::JobStatus::Completed:
+        case sched::JobStatus::Recovering:
           ASSERT_NE_OR_THROW(gpus == 0, "non-running job holds GPUs");
           break;
       }
@@ -210,7 +211,7 @@ class OperatorAlgebra : public testing::TestWithParam<std::uint64_t> {
     w.state.topology = &w.topo;
     w.state.current = &w.live;
     w.state.oracle = &w.oracle;
-    for (auto& v : w.views) w.state.jobs.push_back(v.get());
+    for (auto& v : w.views) w.state.add_job(v.get());
     return w;
   }
 };
@@ -241,7 +242,7 @@ TEST_P(OperatorAlgebra, ReorderConservesWorkPerJob) {
   cluster::Assignment cand(w.topo.total_gpus());
   evo.refresh(cand, ctx);
   const auto packed = core::Evolution::reorder(cand);
-  for (const sched::JobView* v : w.state.jobs) {
+  for (const sched::JobView* v : w.state.jobs()) {
     EXPECT_EQ(packed.global_batch(v->spec.id), cand.global_batch(v->spec.id));
     EXPECT_EQ(packed.gpu_count(v->spec.id), cand.gpu_count(v->spec.id));
     // Packed workers are contiguous.

@@ -108,6 +108,124 @@ TEST(Placement, ReturnsEmptyWhenInsufficient) {
   EXPECT_TRUE(pick_idle_gpus(a, topo, 2).empty());
 }
 
+TEST(ClusterState, AddJobAndRetireKeepTheListsInStep) {
+  // JobIds out of arrival order, plus one view that arrives Completed.
+  std::vector<JobView> views = {make_view(7, "ResNet18", 1000), make_view(2, "ResNet18", 1000),
+                                make_view(9, "ResNet18", 1000), make_view(4, "ResNet18", 1000)};
+  views[2].status = JobStatus::Completed;
+  views[3].status = JobStatus::Running;
+  ClusterState state;
+  for (const JobView& v : views) state.add_job(&v);
+  using Views = std::vector<const JobView*>;
+
+  for (const JobView& v : views) EXPECT_EQ(state.job(v.spec.id), &v);
+  EXPECT_EQ(state.job(5), nullptr);
+  EXPECT_EQ(state.job(10), nullptr);
+  EXPECT_EQ(state.jobs(), (Views{&views[0], &views[1], &views[2], &views[3]}));
+  EXPECT_EQ(state.jobs_by_id(), (Views{&views[1], &views[3], &views[0], &views[2]}));
+  EXPECT_EQ(state.active_jobs(), (Views{&views[0], &views[1], &views[3]}));
+  EXPECT_EQ(state.waiting_jobs(), (Views{&views[0], &views[1]}));
+  EXPECT_EQ(state.running_jobs(), (Views{&views[3]}));
+
+  views[1].status = JobStatus::Completed;
+  state.retire(&views[1]);
+  EXPECT_EQ(state.active_jobs(), (Views{&views[0], &views[3]}));
+  EXPECT_EQ(state.jobs().size(), 4u);
+  EXPECT_EQ(state.job(2), &views[1]);  // an ended job stays findable
+  EXPECT_THROW(state.retire(&views[1]), std::logic_error);
+  EXPECT_THROW(state.add_job(&views[0]), std::logic_error);  // JobIds are unique
+}
+
+/// A deploy_plan fixture: 8 GPUs on 2 nodes and a few 2-GPU jobs.
+struct PlanWorld {
+  cluster::Topology topo = small_topology();
+  cluster::Assignment live{topo.total_gpus()};
+  std::vector<JobView> views = {make_view(1, "ResNet18", 1000), make_view(2, "ResNet18", 1000),
+                                make_view(3, "ResNet18", 1000)};
+  ClusterState state;
+
+  PlanWorld() {
+    state.topology = &topo;
+    state.current = &live;
+    for (const JobView& v : views) state.add_job(&v);
+  }
+  const JobView* view(JobId id) const { return state.job(id); }
+  /// Run job `id` (1-based) on `gpus` with these local batches, keeping its
+  /// view in step with `live` as the simulation driver does.
+  void run(JobId id, const std::vector<GpuId>& gpus, const std::vector<int>& batches) {
+    JobView& v = views[static_cast<std::size_t>(id - 1)];
+    for (std::size_t i = 0; i < gpus.size(); ++i) live.place(gpus[i], id, batches[i]);
+    v.status = JobStatus::Running;
+    v.gpus = live.gpu_count(id);
+    v.global_batch = live.global_batch(id);
+  }
+};
+
+TEST(DeployPlan, PlanEqualToTheRunningSetIsANoOp) {
+  PlanWorld w;
+  EXPECT_FALSE(deploy_plan(w.state, {}).has_value());  // idle cluster, empty plan
+  w.run(1, {0, 1}, {32, 32});
+  w.run(2, {4}, {16});
+  EXPECT_FALSE(deploy_plan(w.state, {{w.view(1), 2}, {w.view(2), 1}}).has_value());
+  EXPECT_FALSE(deploy_plan(w.state, {{w.view(2), 1}, {w.view(1), 2}}).has_value());
+  // Dropping a running job is a change: it loses its GPUs.
+  const auto next = deploy_plan(w.state, {{w.view(1), 2}});
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->gpu_count(2), 0);
+  EXPECT_EQ(next->gpus_of(1), (std::vector<GpuId>{0, 1}));
+}
+
+TEST(DeployPlan, KeptJobsKeepTheirExactGpusAndLocalBatches) {
+  PlanWorld w;
+  // A split across both nodes with uneven local batches: nothing the
+  // even placer would ever produce.
+  w.run(1, {2, 5}, {48, 80});
+  w.live.set_health(7, cluster::SlotHealth::Failed);
+  const auto next = deploy_plan(w.state, {{w.view(1), 2}, {w.view(3), 2}});
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->gpus_of(1), (std::vector<GpuId>{2, 5}));
+  EXPECT_EQ(next->slot(2).local_batch, 48);
+  EXPECT_EQ(next->slot(5).local_batch, 80);
+  EXPECT_EQ(next->gpu_count(3), 2);
+  EXPECT_EQ(next->global_batch(3), w.view(3)->spec.requested_batch);
+  EXPECT_EQ(next->unhealthy_gpus(), w.live.unhealthy_gpus());  // health map carried
+}
+
+TEST(DeployPlan, RunningJobWithANewWorkerCountIsRePlaced) {
+  PlanWorld w;
+  w.run(1, {2, 5}, {48, 80});
+  const auto next = deploy_plan(w.state, {{w.view(1), 4}});  // Optimus grows a job
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->gpus_of(1), (std::vector<GpuId>{0, 1, 2, 3}));  // one whole node
+  EXPECT_EQ(next->global_batch(1), w.view(1)->spec.requested_batch);
+}
+
+TEST(DeployPlan, NewJobsArePlacedInPlanOrder) {
+  PlanWorld w;
+  const auto ab = deploy_plan(w.state, {{w.view(1), 3}, {w.view(2), 3}});
+  const auto ba = deploy_plan(w.state, {{w.view(2), 3}, {w.view(1), 3}});
+  ASSERT_TRUE(ab.has_value() && ba.has_value());
+  EXPECT_EQ(ab->gpus_of(1), (std::vector<GpuId>{0, 1, 2}));
+  EXPECT_EQ(ab->gpus_of(2), (std::vector<GpuId>{4, 5, 6}));
+  EXPECT_EQ(ba->gpus_of(2), (std::vector<GpuId>{0, 1, 2}));
+  EXPECT_EQ(ba->gpus_of(1), (std::vector<GpuId>{4, 5, 6}));
+  EXPECT_THROW(deploy_plan(w.state, {{w.view(1), 5}, {w.view(2), 5}}), std::logic_error);
+}
+
+TEST(DeployPlan, GreedyFitSkipsPastJobsThatDoNotFit) {
+  PlanWorld w;
+  w.views[0].spec.requested_gpus = 5;
+  w.views[1].spec.requested_gpus = 3;
+  w.views[2].spec.requested_gpus = 2;
+  w.live.set_health(7, cluster::SlotHealth::Failed);  // 7 healthy GPUs of 8
+  const auto plan = fit_requested(w.state, {w.view(1), w.view(2), w.view(3)});
+  ASSERT_EQ(plan.size(), 2u);
+  EXPECT_EQ(plan[0].job, w.view(1));
+  EXPECT_EQ(plan[0].workers, 5);
+  EXPECT_EQ(plan[1].job, w.view(3));  // job 2 would fit only on the down GPU
+  EXPECT_EQ(plan[1].workers, 2);
+}
+
 SimulationConfig small_sim_config() {
   SimulationConfig c;
   c.topology.num_nodes = 2;  // 8 GPUs
