@@ -97,14 +97,14 @@ int main(int argc, char** argv) {
     req.old_global_batch = 384;
     req.new_global_batch = 768;
     sim::SimEngine engine;
-    elastic::ScalingReport report;
+    elastic::ScalingReport scaling;
     elastic::ScalingSession session(engine, profile, topo, costs, req,
-                                    [&](const elastic::ScalingReport& r) { report = r; });
+                                    [&](const elastic::ScalingReport& r) { scaling = r; });
     session.start();
     engine.run();
-    for (const auto& line : report.timeline) std::printf("  %s\n", line.c_str());
-    std::printf("  => job blocked for %.2f s of a %.2f s session\n", report.blocked_s,
-                report.total_s);
+    for (const auto& line : scaling.timeline) std::printf("  %s\n", line.c_str());
+    std::printf("  => job blocked for %.2f s of a %.2f s session\n", scaling.blocked_s,
+                scaling.total_s);
   }
 
   std::printf("\nShape check vs the paper (elastic ~1 s, checkpoint tens of s): %s\n",

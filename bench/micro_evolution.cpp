@@ -76,7 +76,7 @@ void BM_EvolutionStep(benchmark::State& bench_state) {
   }
   bench_state.SetLabel(std::to_string(nodes * 4) + " GPUs");
 }
-BENCHMARK(BM_EvolutionStep)->Arg(4)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EvolutionStep)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
 void BM_Refresh(benchmark::State& bench_state) {
   World w(8, 48);

@@ -176,6 +176,24 @@ Assignment Assignment::empty_like(const Assignment& a) {
   return out;
 }
 
+Assignment Assignment::from_slots(std::vector<Slot> slots) {
+  for (const Slot& s : slots) {
+    if (s.occupied()) {
+      ONES_EXPECT_MSG(s.local_batch >= 1, "a worker needs at least one sample per step");
+      ONES_EXPECT_MSG(s.healthy(), "cannot place a worker on a down GPU");
+    } else {
+      ONES_EXPECT_MSG(s.local_batch == 0, "idle slot carries a batch size");
+    }
+  }
+  Assignment out;
+  Indexes idx = index_slots(slots);
+  out.slots_ = std::move(slots);
+  out.idle_ = std::move(idx.idle);
+  out.down_ = std::move(idx.down);
+  out.jobs_ = std::move(idx.jobs);
+  return out;
+}
+
 void Assignment::set_local_batch(GpuId gpu, int local_batch) {
   ONES_EXPECT(gpu >= 0 && gpu < num_gpus());
   ONES_EXPECT(local_batch >= 1);
@@ -198,6 +216,26 @@ int Assignment::gpu_count(JobId job) const {
 std::vector<GpuId> Assignment::gpus_of(JobId job) const {
   const JobStat* stat = find_stat(job);
   return stat != nullptr ? stat->gpus : std::vector<GpuId>{};
+}
+
+std::span<const GpuId> Assignment::worker_gpus(JobId job) const {
+  const JobStat* stat = find_stat(job);
+  return stat != nullptr ? std::span<const GpuId>(stat->gpus) : std::span<const GpuId>{};
+}
+
+JobPlacement Assignment::placement(JobId job) const {
+  const JobStat* stat = find_stat(job);
+  if (stat == nullptr) return {};
+  JobPlacement p{.workers = static_cast<int>(stat->gpus.size()),
+                 .global_batch = stat->global_batch,
+                 .max_local_batch = 0,
+                 .first_gpu = stat->gpus.front(),
+                 .last_gpu = stat->gpus.back()};
+  for (const GpuId g : stat->gpus) {
+    p.max_local_batch =
+        std::max(p.max_local_batch, slots_[static_cast<std::size_t>(g)].local_batch);
+  }
+  return p;
 }
 
 std::vector<JobId> Assignment::running_jobs() const {
@@ -263,36 +301,40 @@ void Assignment::check_invariants() const {
   }
 }
 
-void Assignment::audit_indexes() const {
-  std::vector<GpuId> idle;
-  std::vector<GpuId> down;
-  std::vector<JobStat> jobs;
-  for (int g = 0; g < num_gpus(); ++g) {
-    const Slot& s = slots_[static_cast<std::size_t>(g)];
-    if (!s.healthy()) down.push_back(g);
+Assignment::Indexes Assignment::index_slots(const std::vector<Slot>& slots) {
+  Indexes out;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const GpuId g = static_cast<GpuId>(i);
+    const Slot& s = slots[i];
+    if (!s.healthy()) out.down.push_back(g);
     if (!s.occupied()) {
-      if (s.healthy()) idle.push_back(g);
+      if (s.healthy()) out.idle.push_back(g);
       continue;
     }
     const auto it = std::lower_bound(
-        jobs.begin(), jobs.end(), s.job,
+        out.jobs.begin(), out.jobs.end(), s.job,
         [](const JobStat& a, JobId j) { return a.job < j; });
-    if (it == jobs.end() || it->job != s.job) {
-      jobs.insert(it, JobStat{s.job, s.local_batch, {g}});
+    if (it == out.jobs.end() || it->job != s.job) {
+      out.jobs.insert(it, JobStat{s.job, s.local_batch, {g}});
     } else {
       it->global_batch += s.local_batch;
       it->gpus.push_back(g);  // g ascending: stays sorted
     }
   }
-  ONES_EXPECT_MSG(idle == idle_, "idle-GPU index diverged from the slot array");
-  ONES_EXPECT_MSG(down == down_, "down-GPU index diverged from the slot array");
-  ONES_EXPECT_MSG(jobs.size() == jobs_.size(),
+  return out;
+}
+
+void Assignment::audit_indexes() const {
+  const Indexes fresh = index_slots(slots_);
+  ONES_EXPECT_MSG(fresh.idle == idle_, "idle-GPU index diverged from the slot array");
+  ONES_EXPECT_MSG(fresh.down == down_, "down-GPU index diverged from the slot array");
+  ONES_EXPECT_MSG(fresh.jobs.size() == jobs_.size(),
                   "job index has the wrong number of entries");
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    ONES_EXPECT_MSG(jobs[i].job == jobs_[i].job, "job index diverged: wrong job");
-    ONES_EXPECT_MSG(jobs[i].global_batch == jobs_[i].global_batch,
+  for (std::size_t i = 0; i < fresh.jobs.size(); ++i) {
+    ONES_EXPECT_MSG(fresh.jobs[i].job == jobs_[i].job, "job index diverged: wrong job");
+    ONES_EXPECT_MSG(fresh.jobs[i].global_batch == jobs_[i].global_batch,
                     "job index diverged: stale global batch");
-    ONES_EXPECT_MSG(jobs[i].gpus == jobs_[i].gpus,
+    ONES_EXPECT_MSG(fresh.jobs[i].gpus == jobs_[i].gpus,
                     "job index diverged: stale GPU list");
   }
 }

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,16 @@ struct Slot {
   bool occupied() const { return job != kInvalidJob; }
   bool healthy() const { return health == SlotHealth::Healthy; }
   bool operator==(const Slot&) const = default;
+};
+
+/// One job's placement as the throughput model reads it (Eq. 2 plus the
+/// straggler), summarised from the per-job index without copying it.
+struct JobPlacement {
+  int workers = 0;          ///< c_j; 0 when the job is not placed
+  int global_batch = 0;     ///< B_j
+  int max_local_batch = 0;  ///< largest b_j^i (the step's straggler)
+  GpuId first_gpu = -1;     ///< lowest GPU of the job
+  GpuId last_gpu = -1;      ///< highest GPU of the job
 };
 
 class Assignment {
@@ -88,6 +99,11 @@ class Assignment {
   /// building candidate schedules from scratch.
   static Assignment empty_like(const Assignment& a);
 
+  /// The assignment whose slot array is `slots`, indexed in one pass (the
+  /// bulk form of one `place` per GPU). Occupied slots must be healthy and
+  /// carry a local batch >= 1; idle slots must carry none.
+  static Assignment from_slots(std::vector<Slot> slots);
+
   // ---- Derived views (Eq. 2) ----
 
   /// Global batch size B_j (0 if the job is not placed).
@@ -96,6 +112,12 @@ class Assignment {
   int gpu_count(JobId job) const;
   /// GPUs hosting workers of the job, in ascending GPU order.
   std::vector<GpuId> gpus_of(JobId job) const;
+  /// gpus_of without the copy: a view into the job index, valid until the
+  /// next mutation. Empty when the job is not placed.
+  std::span<const GpuId> worker_gpus(JobId job) const;
+  /// Worker count, global batch, straggler batch and GPU range of a job in
+  /// O(c_j), with no allocation.
+  JobPlacement placement(JobId job) const;
   /// Jobs with at least one worker, in first-occurrence order.
   std::vector<JobId> running_jobs() const;
   /// Healthy GPUs with no worker (down GPUs are never idle: schedulers read
@@ -135,6 +157,14 @@ class Assignment {
     int global_batch = 0;
     std::vector<GpuId> gpus;
   };
+
+  /// The three indexes recomputed from a slot array (audit and from_slots).
+  struct Indexes {
+    std::vector<GpuId> idle;
+    std::vector<GpuId> down;
+    std::vector<JobStat> jobs;
+  };
+  static Indexes index_slots(const std::vector<Slot>& slots);
 
   /// jobs_ position of `job`, or nullptr if it holds no GPU (binary search:
   /// jobs_ is sorted by JobId).

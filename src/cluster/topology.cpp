@@ -35,9 +35,14 @@ int Topology::nodes_spanned(const std::vector<GpuId>& gpus) const {
 
 LinkProfile Topology::link_profile(const std::vector<GpuId>& gpus) const {
   ONES_EXPECT(!gpus.empty());
-  if (nodes_spanned(gpus) <= 1) {
-    return {config_.intra_node_bw_Bps, config_.intra_node_latency_s};
+  // One node iff every worker shares the first one's node (the set may be in
+  // any order; every GPU id is still range-checked by node_of).
+  const NodeId first = node_of(gpus.front());
+  bool one_node = true;
+  for (GpuId g : gpus) {
+    if (node_of(g) != first) one_node = false;
   }
+  if (one_node) return {config_.intra_node_bw_Bps, config_.intra_node_latency_s};
   return {config_.inter_node_bw_Bps, config_.inter_node_latency_s};
 }
 

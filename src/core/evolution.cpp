@@ -3,35 +3,54 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <optional>
 
 #include "common/expect.hpp"
 #include "energy/power_model.hpp"
 
 namespace ones::core {
 
-const sched::JobView& EvolutionContext::view(JobId job) const {
-  const sched::JobView* v = state->job(job);
-  ONES_EXPECT_MSG(v != nullptr, "candidate references a job outside the state");
-  return *v;
+const JobEntry* EvolutionContext::find(JobId job) const {
+  const auto it = std::lower_bound(
+      jobs.begin(), jobs.end(), job,
+      [](const JobEntry& e, JobId j) { return e.id < j; });
+  return it != jobs.end() && it->id == job ? &*it : nullptr;
 }
 
-double EvolutionContext::expected_remaining(const sched::JobView& job) const {
-  auto it = yrem_cache.find(job.spec.id);
-  if (it != yrem_cache.end()) return it->second;
-  const double y = predictor != nullptr ? predictor->expected_remaining_samples(job)
-                                        : job.dataset_size();
-  yrem_cache.emplace(job.spec.id, y);
-  return y;
+const JobEntry& EvolutionContext::entry(JobId job) const {
+  const JobEntry* e = find(job);
+  ONES_EXPECT_MSG(e != nullptr, "candidate references a job outside the state");
+  return *e;
 }
 
 EvolutionContext make_context(const sched::ClusterState& state,
                               const predict::ProgressPredictor* predictor,
                               const BatchLimitManager* limits) {
+  ONES_EXPECT(limits != nullptr && state.current != nullptr);
   EvolutionContext ctx;
   ctx.state = &state;
   ctx.predictor = predictor;
   ctx.limits = limits;
+  const auto& active = state.active_jobs();
+  // Arrival positions of the active jobs, sorted by JobId.
+  std::vector<std::size_t> order(active.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return active[a]->spec.id < active[b]->spec.id;
+  });
+  ctx.jobs.reserve(active.size());
+  ctx.by_arrival.resize(active.size());
+  for (const std::size_t i : order) {
+    const sched::JobView* v = active[i];
+    ctx.by_arrival[i] = ctx.jobs.size();
+    ctx.jobs.push_back({.id = v->spec.id,
+                        .view = v,
+                        .limit = Evolution::effective_limit(*v, ctx),
+                        .warm = limits->warmed_up(*v),
+                        .expected_remaining = predictor != nullptr
+                                                  ? predictor->expected_remaining_samples(*v)
+                                                  : v->dataset_size()});
+  }
+  ctx.live_jobs = state.current->running_jobs();
   return ctx;
 }
 
@@ -42,9 +61,8 @@ std::size_t Evolution::population_size(const EvolutionContext& ctx) const {
   return static_cast<std::size_t>(ctx.state->topology->total_gpus());
 }
 
-int Evolution::start_batch(const sched::JobView& job, const EvolutionContext& ctx) const {
-  const int r = effective_limit(job, ctx);
-  return std::max(1, std::min(r, job.profile->max_local_batch));
+int Evolution::start_batch(const JobEntry& job) {
+  return std::max(1, std::min(job.limit, job.view->profile->max_local_batch));
 }
 
 double Evolution::remaining_samples(const sched::JobView& job, const EvolutionContext& ctx,
@@ -57,8 +75,7 @@ double Evolution::remaining_samples(const sched::JobView& job, const EvolutionCo
   return y_proc * (1.0 / rho - 1.0);
 }
 
-int Evolution::effective_limit(const sched::JobView& job,
-                               const EvolutionContext& ctx) const {
+int Evolution::effective_limit(const sched::JobView& job, const EvolutionContext& ctx) {
   int r = ctx.limits->limit(job);
   if (job.status == sched::JobStatus::Running && job.global_batch > 0) {
     // Gradual-scaling rule: at most one doubling per re-configuration.
@@ -99,8 +116,9 @@ double Evolution::score(const cluster::Assignment& candidate, const EvolutionCon
   double total = 0.0;
   const bool energy_aware =
       config_.lambda_energy != 0.0 && ctx.state->power != nullptr;
-  for (JobId j : candidate.running_jobs()) {
-    const auto& v = ctx.view(j);
+  const std::vector<JobId> running = candidate.running_jobs();
+  for (JobId j : running) {
+    const sched::JobView& v = *ctx.entry(j).view;
     const double x = ctx.state->oracle->estimate_placed_sps(v, candidate);
     auto it = rho.find(j);
     const double r = it != rho.end() ? it->second : 0.5;
@@ -123,14 +141,13 @@ double Evolution::score(const cluster::Assignment& candidate, const EvolutionCon
   // preempting running jobs is not free, so a challenger must beat the
   // incumbent by at least the cost of deploying it.
   const cluster::Assignment& live = *ctx.state->current;
-  for (JobId j : candidate.running_jobs()) {
-    const auto& v = ctx.view(j);
-    if (v.status != sched::JobStatus::Running) continue;  // resume charged below
+  for (JobId j : running) {
+    if (ctx.entry(j).view->status != sched::JobStatus::Running) continue;  // resume charged below
     if (!live.same_placement(candidate, j)) {
       total += config_.switch_penalty_s * static_cast<double>(candidate.gpu_count(j));
     }
   }
-  for (JobId j : live.running_jobs()) {
+  for (JobId j : ctx.live_jobs) {
     if (candidate.gpu_count(j) == 0) {
       total += config_.preempt_penalty_s * static_cast<double>(live.gpu_count(j));
     }
@@ -138,13 +155,12 @@ double Evolution::score(const cluster::Assignment& candidate, const EvolutionCon
   return total;
 }
 
-void Evolution::clamp_job(cluster::Assignment& candidate, JobId job,
-                          const EvolutionContext& ctx) {
+void Evolution::clamp_job(cluster::Assignment& candidate, const JobEntry& entry) {
+  const JobId job = entry.id;
   auto gpus = candidate.gpus_of(job);
   if (gpus.empty()) return;
-  const auto& v = ctx.view(job);
-  const int r_limit = effective_limit(v, ctx);
-  const bool warm = ctx.limits->warmed_up(v);
+  const int r_limit = entry.limit;
+  const bool warm = entry.warm;
 
   int target_c = static_cast<int>(gpus.size());
   if (!warm) target_c = 1;                       // Start policy: one GPU
@@ -155,7 +171,7 @@ void Evolution::clamp_job(cluster::Assignment& candidate, JobId job,
     gpus.pop_back();
   }
 
-  const int max_b = std::min(r_limit, target_c * v.profile->max_local_batch);
+  const int max_b = std::min(r_limit, target_c * entry.view->profile->max_local_batch);
   int b = std::clamp(candidate.global_batch(job), target_c, max_b);
   // Even re-split (repairs crossover children with lopsided inherited genes).
   const int base = b / target_c;
@@ -166,136 +182,137 @@ void Evolution::clamp_job(cluster::Assignment& candidate, JobId job,
 }
 
 void Evolution::repair(cluster::Assignment& candidate, const EvolutionContext& ctx) {
+  // One pass: evicting or clamping a job touches only that job's GPUs, so
+  // the order of the two never matters.
   for (JobId j : candidate.running_jobs()) {
-    const sched::JobView* v = ctx.state->job(j);
-    if (v == nullptr || v->status == sched::JobStatus::Completed) {
+    const JobEntry* e = ctx.find(j);
+    if (e == nullptr || e->view->status == sched::JobStatus::Completed) {
       candidate.evict(j);
+    } else {
+      clamp_job(candidate, *e);
     }
-  }
-  for (JobId j : candidate.running_jobs()) {
-    clamp_job(candidate, j, ctx);
   }
 }
 
 void Evolution::fill_idle(cluster::Assignment& candidate, const EvolutionContext& ctx) {
   struct Action {
     bool resume = false;
-    JobId job = kInvalidJob;
+    const JobEntry* job = nullptr;
   };
+  const sched::ThroughputOracle& oracle = *ctx.state->oracle;
+  std::vector<Action> actions;
+  std::vector<double> weights;
+  std::vector<Action> spreads;
+  std::vector<double> spread_weights;
 
   for (;;) {
-    const auto idle = candidate.idle_gpus();
-    if (idle.empty()) return;
-
-    std::vector<Action> actions;
-    std::vector<double> weights;
+    const int idle = candidate.idle_count();
+    if (idle == 0) return;
+    actions.clear();
+    weights.clear();
+    spreads.clear();
+    spread_weights.clear();
 
     // Resume options: active jobs absent from this candidate start on one GPU.
-    for (const sched::JobView* v : ctx.state->active_jobs()) {
-      if (candidate.gpu_count(v->spec.id) > 0) continue;
-      const double y = ctx.expected_remaining(*v);
-      actions.push_back({true, v->spec.id});
-      weights.push_back(std::max(y, 1.0));
+    for (const std::size_t i : ctx.by_arrival) {
+      const JobEntry& e = ctx.jobs[i];
+      if (candidate.gpu_count(e.id) > 0) continue;
+      actions.push_back({true, &e});
+      weights.push_back(std::max(e.expected_remaining, 1.0));
     }
 
-    // Scale-up options: running jobs whose limit R still allows more batch,
-    // gaining floor(R*c/B) - c more GPUs (Figure 7's utilization-gain
-    // sampling).
+    // One pass over the running jobs collects both growth options; spread
+    // options are appended after all scale-up options, so the weighted draw
+    // always lists resume, then scale-up, then spread options.
     for (JobId j : candidate.running_jobs()) {
-      const auto& v = ctx.view(j);
-      if (!ctx.limits->warmed_up(v)) continue;
-      const int r_limit = effective_limit(v, ctx);
+      const JobEntry& e = ctx.entry(j);
+      if (!e.warm) continue;
+      const sched::JobView& v = *e.view;
       const int b = candidate.global_batch(j);
       const int c = candidate.gpu_count(j);
-      if (b >= r_limit) continue;
+      const double y = std::max(e.expected_remaining, 1.0);
+      // Scale-up: a job whose limit R still allows more batch gains
+      // floor(R*c/B) - c more GPUs (Figure 7's utilization-gain sampling).
       const int local = std::max(1, b / c);
-      const int target_c =
-          std::min(static_cast<int>(r_limit / local), c + static_cast<int>(idle.size()));
-      if (target_c <= c) continue;
-      const int b2 = std::min(r_limit, local * target_c);
+      const int up_c = b < e.limit ? std::min(static_cast<int>(e.limit / local), c + idle) : c;
+      // Spread: when batch limits bind, idle GPUs can still speed a job up
+      // by spreading its (fixed) batch over more workers — idle GPUs have no
+      // opportunity cost, and Eq. 4 wants the cluster saturated.
+      const int spread_c = std::min({2 * c, b, c + idle});
+      if (up_c <= c && spread_c <= c) continue;
 
-      const double y = ctx.expected_remaining(v);
-      const double x1 = ctx.state->oracle->estimate_placed_sps(v, candidate);
-      const double x2 = ctx.state->oracle->estimate_sps(
-          v, target_c, b2, ctx.state->oracle->can_colocate(target_c));
-      const double gain = std::max(y, 1.0) * (static_cast<double>(c) / x1 -
-                                              static_cast<double>(target_c) / x2);
-      actions.push_back({false, j});
-      weights.push_back(std::max(gain, 1e-6));
+      const double x1 = oracle.estimate_placed_sps(v, candidate);
+      if (up_c > c) {
+        const int b2 = std::min(e.limit, local * up_c);
+        const double x2 = oracle.estimate_sps(v, up_c, b2, oracle.can_colocate(up_c));
+        const double gain =
+            y * (static_cast<double>(c) / x1 - static_cast<double>(up_c) / x2);
+        actions.push_back({false, &e});
+        weights.push_back(std::max(gain, 1e-6));
+      }
+      if (spread_c > c) {
+        const double x2 = oracle.estimate_sps(v, spread_c, b, oracle.can_colocate(spread_c));
+        if (x2 > x1 * 1.02) {  // else not worth the extra workers
+          const double gain = y * (1.0 / x1 - 1.0 / x2);
+          spreads.push_back({false, &e});
+          spread_weights.push_back(std::max(gain, 1e-6));
+        }
+      }
     }
-
-    // Spread options: when batch limits bind, idle GPUs can still speed a
-    // job up by spreading its (fixed) batch over more workers — idle GPUs
-    // have no opportunity cost, and Eq. 4 wants the cluster saturated.
-    for (JobId j : candidate.running_jobs()) {
-      const auto& v = ctx.view(j);
-      if (!ctx.limits->warmed_up(v)) continue;
-      const int b = candidate.global_batch(j);
-      const int c = candidate.gpu_count(j);
-      const int target_c = std::min({2 * c, b, c + static_cast<int>(idle.size())});
-      if (target_c <= c) continue;
-      const double x1 = ctx.state->oracle->estimate_placed_sps(v, candidate);
-      const double x2 = ctx.state->oracle->estimate_sps(
-          v, target_c, b, ctx.state->oracle->can_colocate(target_c));
-      if (x2 <= x1 * 1.02) continue;  // not worth the extra workers
-      const double y = ctx.expected_remaining(v);
-      const double gain = std::max(y, 1.0) * (1.0 / x1 - 1.0 / x2);
-      actions.push_back({false, j});
-      weights.push_back(std::max(gain, 1e-6));
-    }
+    actions.insert(actions.end(), spreads.begin(), spreads.end());
+    weights.insert(weights.end(), spread_weights.begin(), spread_weights.end());
 
     if (actions.empty()) return;  // nothing can use the idle GPUs
     const Action act = actions[rng_.weighted_index(weights)];
+    const JobEntry& e = *act.job;
+    const JobId job = e.id;
+    const std::vector<GpuId> idle_gpus = candidate.idle_gpus();
 
     if (act.resume) {
-      const auto& v = ctx.view(act.job);
-      candidate.place(idle.front(), act.job, start_batch(v, ctx));
+      candidate.place(idle_gpus.front(), job, start_batch(e));
     } else {
-      const auto& v = ctx.view(act.job);
-      const int r_limit = effective_limit(v, ctx);
-      const int b = candidate.global_batch(act.job);
-      const int c = candidate.gpu_count(act.job);
+      const int r_limit = e.limit;
+      const int b = candidate.global_batch(job);
+      const int c = candidate.gpu_count(job);
       const int local = std::max(1, b / c);
       // Grow the worker set: up to the batch-limit headroom (grow-batch
       // action) or up to 2x workers at the same batch (spread action) —
       // whichever the idle pool allows.
       const int grow_c = std::max(static_cast<int>(r_limit / local), std::min(2 * c, b));
-      const int target_c = std::min(grow_c, c + static_cast<int>(idle.size()));
+      const int target_c = std::min(grow_c, c + idle);
       if (target_c <= c) continue;
       for (int k = 0; k < target_c - c; ++k) {
-        candidate.place(idle[static_cast<std::size_t>(k)], act.job, 1);
+        candidate.place(idle_gpus[static_cast<std::size_t>(k)], job, 1);
       }
       // Raise the batch toward the limit with the new worker count, then
       // re-split evenly (clamp_job also enforces memory limits).
-      auto gpus = candidate.gpus_of(act.job);
+      auto gpus = candidate.gpus_of(job);
       const int b2 = std::clamp(
           std::min(r_limit, local * static_cast<int>(gpus.size())),
           static_cast<int>(gpus.size()),
-          static_cast<int>(gpus.size()) * v.profile->max_local_batch);
+          static_cast<int>(gpus.size()) * e.view->profile->max_local_batch);
       const int base = b2 / static_cast<int>(gpus.size());
       const int rem = b2 % static_cast<int>(gpus.size());
       for (std::size_t i = 0; i < gpus.size(); ++i) {
-        candidate.place(gpus[i], act.job, base + (static_cast<int>(i) < rem ? 1 : 0));
+        candidate.place(gpus[i], job, base + (static_cast<int>(i) < rem ? 1 : 0));
       }
-      clamp_job(candidate, act.job, ctx);
+      clamp_job(candidate, e);
     }
   }
 }
 
 void Evolution::refresh(cluster::Assignment& candidate, const EvolutionContext& ctx) {
-  // (1) Clean up GPUs of completed (or unknown) jobs.
+  // (1) Clean up GPUs of completed (or unknown) jobs, and (2) scale down
+  //     any other job whose batch exceeds its current limit R: drop to
+  //     floor(R*c/B) GPUs and batch R (paper's rule), then clamp. One pass:
+  //     each step touches only its own job's GPUs.
   for (JobId j : candidate.running_jobs()) {
-    const sched::JobView* v = ctx.state->job(j);
-    if (v == nullptr || v->status == sched::JobStatus::Completed) {
+    const JobEntry* e = ctx.find(j);
+    if (e == nullptr || e->view->status == sched::JobStatus::Completed) {
       candidate.evict(j);
+      continue;
     }
-  }
-
-  // (2) Scale down any job whose batch exceeds its current limit R:
-  //     drop to floor(R*c/B) GPUs and batch R (paper's rule), then clamp.
-  for (JobId j : candidate.running_jobs()) {
-    const auto& v = ctx.view(j);
-    const int r_limit = effective_limit(v, ctx);
+    const int r_limit = e->limit;
     const int b = candidate.global_batch(j);
     if (r_limit < b) {
       const int c = candidate.gpu_count(j);
@@ -309,43 +326,45 @@ void Evolution::refresh(cluster::Assignment& candidate, const EvolutionContext& 
       const int base = std::max(r_limit, target_c) / target_c;
       for (std::size_t i = 0; i < gpus.size(); ++i) candidate.place(gpus[i], j, base);
     }
-    clamp_job(candidate, j, ctx);
+    clamp_job(candidate, *e);
   }
 
   // (3) Preferential allocation of newly arrived jobs (never ran, absent
   //     from this candidate): one GPU each; if the candidate lacks idle
   //     GPUs, take them from the jobs with the largest executed time.
-  std::vector<const sched::JobView*> fresh;
-  for (const sched::JobView* v : ctx.state->active_jobs()) {
-    if (v->samples_processed > 0.0) continue;
-    if (v->epochs_completed > 0) continue;
-    if (candidate.gpu_count(v->spec.id) > 0) continue;
-    fresh.push_back(v);
+  std::vector<const JobEntry*> fresh;
+  for (const std::size_t i : ctx.by_arrival) {
+    const JobEntry& e = ctx.jobs[i];
+    if (e.view->samples_processed > 0.0) continue;
+    if (e.view->epochs_completed > 0) continue;
+    if (candidate.gpu_count(e.id) > 0) continue;
+    fresh.push_back(&e);
   }
   const int want =
       std::min<int>(static_cast<int>(fresh.size()), candidate.healthy_count());
   while (candidate.idle_count() < want) {
     // Victim: the candidate job with the largest T_processed.
-    JobId victim = kInvalidJob;
+    const JobEntry* victim = nullptr;
     double max_exec = -1.0;
     for (JobId j : candidate.running_jobs()) {
-      const auto& v = ctx.view(j);
-      if (v.exec_time_s > max_exec) {
-        max_exec = v.exec_time_s;
-        victim = j;
+      const JobEntry& e = ctx.entry(j);
+      if (e.view->exec_time_s > max_exec) {
+        max_exec = e.view->exec_time_s;
+        victim = &e;
       }
     }
-    if (victim == kInvalidJob) break;
-    auto gpus = candidate.gpus_of(victim);
+    if (victim == nullptr) break;
+    const auto gpus = candidate.worker_gpus(victim->id);
+    const bool shared = gpus.size() > 1;
     candidate.clear(gpus.back());
-    if (gpus.size() > 1) clamp_job(candidate, victim, ctx);
+    if (shared) clamp_job(candidate, *victim);
   }
   {
     auto idle = candidate.idle_gpus();
     std::size_t next = 0;
-    for (const sched::JobView* v : fresh) {
+    for (const JobEntry* e : fresh) {
       if (next >= idle.size()) break;
-      candidate.place(idle[next++], v->spec.id, start_batch(*v, ctx));
+      candidate.place(idle[next++], e->id, start_batch(*e));
     }
   }
 
@@ -358,18 +377,19 @@ std::pair<cluster::Assignment, cluster::Assignment> Evolution::crossover(
   ONES_EXPECT(a.num_gpus() == b.num_gpus());
   // Children inherit the parents' health map; the parents never occupy a
   // down GPU, so neither inherited gene can land on one.
-  cluster::Assignment c1 = cluster::Assignment::empty_like(a);
-  cluster::Assignment c2 = cluster::Assignment::empty_like(a);
+  std::vector<cluster::Slot> s1(static_cast<std::size_t>(a.num_gpus()));
+  std::vector<cluster::Slot> s2(s1.size());
   for (int g = 0; g < a.num_gpus(); ++g) {
     const auto& sa = a.slot(g);
     const auto& sb = b.slot(g);
     const bool flip = rng_.bernoulli(0.5);
-    const auto& first = flip ? sb : sa;
-    const auto& second = flip ? sa : sb;
-    if (first.occupied()) c1.place(g, first.job, first.local_batch);
-    if (second.occupied()) c2.place(g, second.job, second.local_batch);
+    const auto i = static_cast<std::size_t>(g);
+    s1[i] = flip ? sb : sa;
+    s2[i] = flip ? sa : sb;
+    s1[i].health = s2[i].health = sa.health;
   }
-  return {std::move(c1), std::move(c2)};
+  return {cluster::Assignment::from_slots(std::move(s1)),
+          cluster::Assignment::from_slots(std::move(s2))};
 }
 
 void Evolution::mutate(cluster::Assignment& candidate, const EvolutionContext& ctx) {
@@ -382,16 +402,22 @@ void Evolution::mutate(cluster::Assignment& candidate, const EvolutionContext& c
 }
 
 cluster::Assignment Evolution::reorder(const cluster::Assignment& candidate) {
-  cluster::Assignment packed = cluster::Assignment::empty_like(candidate);
-  int next = 0;
+  std::vector<cluster::Slot> packed(static_cast<std::size_t>(candidate.num_gpus()));
+  for (const GpuId g : candidate.unhealthy_gpus()) {
+    packed[static_cast<std::size_t>(g)].health = candidate.health(g);
+  }
+  std::size_t next = 0;
   for (JobId j : candidate.running_jobs()) {  // first-occurrence order
-    for (GpuId g : candidate.gpus_of(j)) {
+    for (GpuId g : candidate.worker_gpus(j)) {
       // Pack onto the healthy GPUs in ascending order.
-      while (!packed.slot(next).healthy()) ++next;
-      packed.place(next++, j, candidate.slot(g).local_batch);
+      while (next < packed.size() && !packed[next].healthy()) ++next;
+      ONES_EXPECT_MSG(next < packed.size(), "more workers than healthy GPUs");
+      packed[next].job = j;
+      packed[next].local_batch = candidate.slot(g).local_batch;
+      ++next;
     }
   }
-  return packed;
+  return cluster::Assignment::from_slots(std::move(packed));
 }
 
 void Evolution::ensure_population(const EvolutionContext& ctx) {
@@ -445,61 +471,65 @@ void Evolution::step(const EvolutionContext& ctx) {
     }
   }
 
-  std::vector<cluster::Assignment> cands = population_;
-  cands.reserve(4 * k + 1);
+  // The refreshed population becomes the first `pop` candidates and the
+  // parents of this generation's offspring; selection refills population_.
+  std::vector<cluster::Assignment> cands = std::move(population_);
+  population_.clear();
+  const std::size_t pop = cands.size();
+  cands.reserve(pop + 3 * k + 1);
+  const auto pick = [&] {
+    return static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(pop) - 1));
+  };
 
-  std::optional<prof::Scope> offspring_span;
-  if (profiler_ != nullptr) offspring_span.emplace(profiler_, "evolve.offspring");
-  // The incumbent (live schedule) always competes: unless a challenger beats
-  // it including switching costs, ONES keeps the cluster undisturbed.
   {
-    cluster::Assignment incumbent = *ctx.state->current;
-    repair(incumbent, ctx);
-    fill_idle(incumbent, ctx);
-    cands.push_back(std::move(incumbent));
-  }
+    const prof::Scope offspring_span(profiler_, "evolve.offspring");
+    // The incumbent (live schedule) always competes: unless a challenger
+    // beats it including switching costs, ONES keeps the cluster undisturbed.
+    {
+      cluster::Assignment incumbent = *ctx.state->current;
+      repair(incumbent, ctx);
+      fill_idle(incumbent, ctx);
+      cands.push_back(std::move(incumbent));
+    }
 
-  if (config_.use_crossover && population_.size() >= 2) {
-    const auto pick = [&] {
-      return static_cast<std::size_t>(
-          rng_.uniform_int(0, static_cast<std::int64_t>(population_.size()) - 1));
-    };
-    for (std::size_t i = 0; i < k; ++i) {
-      std::size_t a = pick(), b = pick();
-      if (a == b) b = (b + 1) % population_.size();
-      auto [c1, c2] = crossover(population_[a], population_[b]);
-      ++crossovers;
-      repair(c1, ctx);
-      fill_idle(c1, ctx);
-      repair(c2, ctx);
-      fill_idle(c2, ctx);
-      if (config_.use_reorder) {
-        c1 = reorder(c1);
-        c2 = reorder(c2);
-        reorders += 2;
+    if (config_.use_crossover && pop >= 2) {
+      const prof::Scope crossover_span(profiler_, "evolve.crossover");
+      for (std::size_t i = 0; i < k; ++i) {
+        std::size_t a = pick(), b = pick();
+        if (a == b) b = (b + 1) % pop;
+        auto [c1, c2] = crossover(cands[a], cands[b]);
+        ++crossovers;
+        repair(c1, ctx);
+        fill_idle(c1, ctx);
+        repair(c2, ctx);
+        fill_idle(c2, ctx);
+        if (config_.use_reorder) {
+          c1 = reorder(c1);
+          c2 = reorder(c2);
+          reorders += 2;
+        }
+        cands.push_back(std::move(c1));
+        cands.push_back(std::move(c2));
       }
-      cands.push_back(std::move(c1));
-      cands.push_back(std::move(c2));
+    }
+
+    if (config_.use_mutation && pop > 0) {
+      const prof::Scope mutate_span(profiler_, "evolve.mutate");
+      for (std::size_t i = 0; i < k; ++i) {
+        cluster::Assignment m = cands[pick()];
+        mutate(m, ctx);
+        ++mutations;
+        repair(m, ctx);
+        fill_idle(m, ctx);
+        if (config_.use_reorder) {
+          m = reorder(m);
+          ++reorders;
+        }
+        cands.push_back(std::move(m));
+      }
     }
   }
-
-  if (config_.use_mutation && !population_.empty()) {
-    for (std::size_t i = 0; i < k; ++i) {
-      cluster::Assignment m = population_[static_cast<std::size_t>(
-          rng_.uniform_int(0, static_cast<std::int64_t>(population_.size()) - 1))];
-      mutate(m, ctx);
-      ++mutations;
-      repair(m, ctx);
-      fill_idle(m, ctx);
-      if (config_.use_reorder) {
-        m = reorder(m);
-        ++reorders;
-      }
-      cands.push_back(std::move(m));
-    }
-  }
-
-  offspring_span.reset();
 
   // Selection: score every candidate under one rho draw (Algorithm 1) and
   // keep the best K.
@@ -512,12 +542,10 @@ void Evolution::step(const EvolutionContext& ctx) {
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return scores[a] < scores[b]; });
 
-  std::vector<cluster::Assignment> next;
-  next.reserve(k);
-  for (std::size_t i = 0; i < order.size() && next.size() < k; ++i) {
-    next.push_back(std::move(cands[order[i]]));
+  population_.reserve(k);
+  for (std::size_t i = 0; i < order.size() && population_.size() < k; ++i) {
+    population_.push_back(std::move(cands[order[i]]));
   }
-  population_ = std::move(next);
 
   if (metrics_ != nullptr) {
     metrics_->counter("ones_evolution_steps_total").add();

@@ -60,24 +60,41 @@ struct EvolutionConfig {
   std::uint64_t seed = 99;
 };
 
-/// Per-event context: live cluster state plus ONES's predictor and limits.
+/// Per-event facts about one active job, computed once by make_context with
+/// the functions the operators would otherwise call on every lookup.
+struct JobEntry {
+  JobId id = kInvalidJob;  ///< view->spec.id, kept inline for the lookups
+  const sched::JobView* view = nullptr;
+  int limit = 1;                    ///< Evolution::effective_limit
+  bool warm = false;                ///< BatchLimitManager::warmed_up
+  double expected_remaining = 0.0;  ///< predictor mean, or one dataset pass when ablated
+};
+
+/// Per-event snapshot: live cluster state plus ONES's predictor and limits,
+/// and a table of the active jobs. Build it after the policy's own
+/// bookkeeping for the event (limit updates, predictor refits); it is stale
+/// once the state, the limits or the predictor change.
 struct EvolutionContext {
   const sched::ClusterState* state = nullptr;
   /// nullptr = predictor ablation (constant rho = 1/2).
   const predict::ProgressPredictor* predictor = nullptr;
   const BatchLimitManager* limits = nullptr;
-  /// Lazily-filled cache of expected remaining workloads (the predictor's
-  /// Beta math is too costly to repeat per fill-loop iteration).
-  // ones-lint: unordered-ok(memo keyed by JobId; values are order-independent pure functions of the job)
-  mutable std::unordered_map<JobId, double> yrem_cache;
+  /// The state's active jobs, ascending by JobId.
+  std::vector<JobEntry> jobs;
+  /// Positions in `jobs` in the state's arrival order (the order the resume
+  /// and fresh-job options are offered in).
+  std::vector<std::size_t> by_arrival;
+  /// Jobs of the live schedule (`state->current`) in first-occurrence order.
+  std::vector<JobId> live_jobs;
 
-  const sched::JobView& view(JobId job) const;
-  /// Expected remaining samples of a job (predictor mean, or one dataset
-  /// pass when the predictor is ablated), cached per event.
-  double expected_remaining(const sched::JobView& job) const;
+  /// Null for a job outside the active set (completed or unknown).
+  const JobEntry* find(JobId job) const;
+  /// Entry of an active job; throws for any other (a repaired or refreshed
+  /// candidate runs active jobs only).
+  const JobEntry& entry(JobId job) const;
 };
 
-/// Build the lookup map for a state snapshot.
+/// Build the context, and its job table, for a state snapshot.
 EvolutionContext make_context(const sched::ClusterState& state,
                               const predict::ProgressPredictor* predictor,
                               const BatchLimitManager* limits);
@@ -102,8 +119,9 @@ class Evolution {
   /// Optional host-time profiler (not owned; null — the default — disables
   /// the span sites at one branch each). `step` runs under an `evolve.step`
   /// span with nested `evolve.refresh` / `evolve.offspring` /
-  /// `evolve.select` operator-phase spans (DESIGN.md §14). Never affects
-  /// the search.
+  /// `evolve.select` operator-phase spans; `evolve.offspring` holds one
+  /// `evolve.crossover` and one `evolve.mutate` span around those phases'
+  /// loops (DESIGN.md §14). Never affects the search.
   void set_profiler(prof::Profiler* profiler) { profiler_ = profiler; }
 
   /// One full evolution iteration: refresh -> operators -> select.
@@ -144,7 +162,7 @@ class Evolution {
   /// Effective batch limit: the policy limit R further capped at twice the
   /// job's *live* batch — §3.3.2's "scaled within a limited range at each
   /// time" rule that prevents the Fig 13 loss spike.
-  int effective_limit(const sched::JobView& job, const EvolutionContext& ctx) const;
+  static int effective_limit(const sched::JobView& job, const EvolutionContext& ctx);
 
  private:
   std::size_t population_size(const EvolutionContext& ctx) const;
@@ -152,9 +170,9 @@ class Evolution {
   /// (Figure 7).
   void fill_idle(cluster::Assignment& candidate, const EvolutionContext& ctx);
   /// Scale a job in-place so that B <= limit, keeping local batches even.
-  void clamp_job(cluster::Assignment& candidate, JobId job,
-                 const EvolutionContext& ctx);
-  int start_batch(const sched::JobView& job, const EvolutionContext& ctx) const;
+  static void clamp_job(cluster::Assignment& candidate, const JobEntry& job);
+  /// Batch of a job resuming on one GPU.
+  static int start_batch(const JobEntry& job);
 
   EvolutionConfig config_;
   Rng rng_;

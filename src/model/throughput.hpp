@@ -27,6 +27,12 @@ namespace ones::model {
 double step_time_s(const TaskProfile& profile, const std::vector<int>& local_batches,
                    const cluster::LinkProfile& link);
 
+/// The same step time from the only two facts it reads off a batch vector:
+/// the straggler's local batch and the worker count. The vector form calls
+/// this, so both give bit-identical results.
+double step_time_s(const TaskProfile& profile, int max_local_batch, int workers,
+                   const cluster::LinkProfile& link);
+
 /// Step time when the global batch B is split as evenly as possible over c
 /// workers.
 double step_time_even_s(const TaskProfile& profile, int global_batch, int workers,

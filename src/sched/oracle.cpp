@@ -27,31 +27,34 @@ bool ThroughputOracle::can_colocate(int workers) const {
   return workers <= topology_.gpus_per_node();
 }
 
+cluster::LinkProfile ThroughputOracle::link(bool colocated) const {
+  const auto& cfg = topology_.config();
+  return colocated ? cluster::LinkProfile{cfg.intra_node_bw_Bps, cfg.intra_node_latency_s}
+                   : cluster::LinkProfile{cfg.inter_node_bw_Bps, cfg.inter_node_latency_s};
+}
+
 double ThroughputOracle::estimate_sps(const JobView& job, int workers, int batch,
                                       bool colocated) const {
   ONES_EXPECT(job.profile != nullptr);
   ONES_EXPECT(workers >= 1);
   ONES_EXPECT(batch >= workers);
-  const auto& cfg = topology_.config();
-  cluster::LinkProfile link =
-      colocated ? cluster::LinkProfile{cfg.intra_node_bw_Bps, cfg.intra_node_latency_s}
-                : cluster::LinkProfile{cfg.inter_node_bw_Bps, cfg.inter_node_latency_s};
-  const double x = model::throughput_even_sps(*job.profile, batch, workers, link);
+  const double x = model::throughput_even_sps(*job.profile, batch, workers, link(colocated));
   return x * noise_factor(job.spec.id, workers, batch);
 }
 
 double ThroughputOracle::estimate_placed_sps(const JobView& job,
                                              const cluster::Assignment& assignment) const {
   ONES_EXPECT(job.profile != nullptr);
-  const auto gpus = assignment.gpus_of(job.spec.id);
-  ONES_EXPECT_MSG(!gpus.empty(), "job has no workers in this assignment");
-  std::vector<int> batches;
-  batches.reserve(gpus.size());
-  for (GpuId g : gpus) batches.push_back(assignment.slot(g).local_batch);
-  const cluster::LinkProfile link = topology_.link_profile(gpus);
-  const double x = model::throughput_sps(*job.profile, batches, link);
-  return x * noise_factor(job.spec.id, static_cast<int>(gpus.size()),
-                          assignment.global_batch(job.spec.id));
+  const cluster::JobPlacement p = assignment.placement(job.spec.id);
+  ONES_EXPECT_MSG(p.workers > 0, "job has no workers in this assignment");
+  // The job's GPU list is ascending, so it sits on one node iff its first
+  // and last GPU do — the same answer Topology::link_profile gives.
+  const bool one_node = topology_.node_of(p.first_gpu) == topology_.node_of(p.last_gpu);
+  // model::throughput_sps over the per-slot batches, without building them.
+  const double x =
+      static_cast<double>(p.global_batch) /
+      model::step_time_s(*job.profile, p.max_local_batch, p.workers, link(one_node));
+  return x * noise_factor(job.spec.id, p.workers, p.global_batch);
 }
 
 }  // namespace ones::sched

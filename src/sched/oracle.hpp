@@ -42,8 +42,13 @@ class ThroughputOracle {
 
   const cluster::Topology& topology() const { return topology_; }
 
- private:
+  /// The multiplicative profiling bias applied to every estimate of `job`
+  /// on `workers` GPUs at global batch `batch` (1 when noise is off).
   double noise_factor(JobId job, int workers, int batch) const;
+
+ private:
+  /// Intra-node link profile when `colocated`, else the inter-node fabric.
+  cluster::LinkProfile link(bool colocated) const;
 
   const cluster::Topology& topology_;
   OracleConfig config_;

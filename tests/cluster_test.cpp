@@ -2,6 +2,9 @@
 // invariants (Eq. 4 style), and schedule diffing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cluster/assignment.hpp"
 #include "cluster/topology.hpp"
 
@@ -125,6 +128,57 @@ TEST(Assignment, RunningJobsFirstOccurrenceOrder) {
   a.place(2, 7, 8);
   a.place(3, 5, 8);
   EXPECT_EQ(a.running_jobs(), (std::vector<JobId>{7, 3, 5}));
+}
+
+TEST(Assignment, PlacementSummaryMatchesDerivedViews) {
+  Assignment a(16);
+  a.set_health(5, SlotHealth::Failed);
+  a.place(9, 7, 48);
+  a.place(2, 7, 32);
+  a.place(3, 7, 16);
+  a.place(0, 4, 8);
+  for (const JobId j : {4, 7, 99}) {
+    const std::vector<GpuId> gpus = a.gpus_of(j);
+    const auto view = a.worker_gpus(j);
+    EXPECT_EQ(std::vector<GpuId>(view.begin(), view.end()), gpus);
+    const JobPlacement p = a.placement(j);
+    EXPECT_EQ(p.workers, static_cast<int>(gpus.size()));
+    EXPECT_EQ(p.global_batch, a.global_batch(j));
+    int max_b = 0;
+    for (GpuId g : gpus) max_b = std::max(max_b, a.slot(g).local_batch);
+    EXPECT_EQ(p.max_local_batch, max_b);
+    if (!gpus.empty()) {
+      EXPECT_EQ(p.first_gpu, gpus.front());
+      EXPECT_EQ(p.last_gpu, gpus.back());
+    }
+  }
+  EXPECT_EQ(a.placement(7).max_local_batch, 48);
+  EXPECT_EQ(a.placement(99).workers, 0);
+}
+
+TEST(Assignment, FromSlotsEqualsOnePlacePerGpu) {
+  Assignment a(8);
+  a.set_health(3, SlotHealth::Reclaimed);
+  a.set_health(6, SlotHealth::Failed);
+  a.place(5, 2, 16);
+  a.place(0, 1, 32);
+  a.place(7, 2, 8);
+  a.place(1, 1, 32);
+  std::vector<Slot> slots;
+  for (int g = 0; g < a.num_gpus(); ++g) slots.push_back(a.slot(g));
+  const Assignment b = Assignment::from_slots(slots);
+  EXPECT_EQ(b, a);
+  EXPECT_NO_THROW(b.audit_indexes());
+  EXPECT_EQ(b.idle_gpus(), a.idle_gpus());
+  EXPECT_EQ(b.unhealthy_gpus(), a.unhealthy_gpus());
+  EXPECT_EQ(b.running_jobs(), a.running_jobs());
+  EXPECT_EQ(b.global_batch(2), 24);
+
+  slots[3].job = 1;  // a worker on a down GPU
+  slots[3].local_batch = 8;
+  EXPECT_THROW(Assignment::from_slots(slots), std::logic_error);
+  slots[3] = Slot{kInvalidJob, 4, SlotHealth::Reclaimed};  // idle slot with a batch
+  EXPECT_THROW(Assignment::from_slots(slots), std::logic_error);
 }
 
 TEST(Assignment, EqualityAndToString) {

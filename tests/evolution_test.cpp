@@ -2,11 +2,13 @@
 // evolutionary operators / SRUF scoring (§3.2).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <set>
 
 #include "core/batch_policy.hpp"
 #include "core/evolution.hpp"
+#include "predict/progress_predictor.hpp"
 #include "sched/oracle.hpp"
 
 namespace ones::core {
@@ -202,6 +204,65 @@ TEST(Evolution, RefreshEvictsCompletedJobs) {
   for (int g = 0; g < 4; ++g) cand.place(g, 1, 64);  // stale placement
   evo.refresh(cand, ctx);
   EXPECT_EQ(cand.gpu_count(1), 0);
+}
+
+TEST(Evolution, RepairAndRefreshEvictCompletedAndUnknownJobs) {
+  Fixture f;
+  f.add_job(1, "ResNet18", 20000, sched::JobStatus::Completed, 20);
+  f.add_job(2, "GoogleNet", 25000, sched::JobStatus::Waiting, 1);
+  auto ctx = f.context();
+  Evolution evo(EvolutionConfig{});
+  cluster::Assignment stale(f.topo_.total_gpus());
+  stale.place(0, 1, 64);   // completed job
+  stale.place(1, 1, 64);
+  stale.place(2, 99, 64);  // job the state never saw
+  stale.place(3, 2, 32);
+  cluster::Assignment repaired = stale;
+  evo.repair(repaired, ctx);
+  cluster::Assignment refreshed = stale;
+  evo.refresh(refreshed, ctx);
+  for (const auto* cand : {&repaired, &refreshed}) {
+    EXPECT_EQ(cand->gpu_count(1), 0);
+    EXPECT_EQ(cand->gpu_count(99), 0);
+    EXPECT_GE(cand->gpu_count(2), 1);
+  }
+}
+
+TEST(Evolution, JobTableMatchesDirectComputation) {
+  Fixture f;
+  auto& r = f.add_job(1, "ResNet18", 20000, sched::JobStatus::Waiting, 4, 90.0);
+  f.add_job(5, "GoogleNet", 25000, sched::JobStatus::Waiting, 0);
+  f.add_job(3, "VGG16", 10000, sched::JobStatus::Completed, 8);
+  f.add_job(2, "AlexNet", 30000, sched::JobStatus::Waiting, 2, 30.0);
+  for (int e = 0; e < 4; ++e) f.limits_.on_epoch_complete(r);
+  f.run_on(1, {0, 1}, 256);
+  predict::ProgressPredictor predictor;
+  const predict::ProgressPredictor* const predictors[] = {&predictor, nullptr};
+  for (const predict::ProgressPredictor* p : predictors) {
+    const auto ctx = f.context(p);
+    const auto& active = f.state_.active_jobs();
+    ASSERT_EQ(ctx.jobs.size(), active.size());
+    ASSERT_EQ(ctx.by_arrival.size(), active.size());
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      EXPECT_EQ(ctx.jobs[ctx.by_arrival[i]].view, active[i]);
+    }
+    EXPECT_EQ(ctx.live_jobs, f.current_.running_jobs());
+    for (std::size_t i = 0; i < ctx.jobs.size(); ++i) {
+      const JobEntry& e = ctx.jobs[i];
+      if (i > 0) {
+        EXPECT_LT(ctx.jobs[i - 1].id, e.id);
+      }
+      EXPECT_EQ(e.id, e.view->spec.id);
+      EXPECT_EQ(ctx.find(e.id), &e);
+      EXPECT_EQ(e.limit, Evolution::effective_limit(*e.view, ctx));
+      EXPECT_EQ(e.warm, f.limits_.warmed_up(*e.view));
+      EXPECT_EQ(e.expected_remaining, p != nullptr ? p->expected_remaining_samples(*e.view)
+                                                   : e.view->dataset_size());
+    }
+    EXPECT_EQ(ctx.find(3), nullptr);   // completed: not active
+    EXPECT_EQ(ctx.find(42), nullptr);  // unknown
+    EXPECT_THROW(ctx.entry(42), std::logic_error);
+  }
 }
 
 TEST(Evolution, RefreshScalesDownBeyondLimit) {
@@ -441,6 +502,71 @@ TEST(Evolution, SampleRhoWithPredictorVariesMeanRhoDoesNot) {
   const auto m1 = evo.mean_rho(ctx);
   const auto m2 = evo.mean_rho(ctx);
   EXPECT_DOUBLE_EQ(m1.at(1), m2.at(1));  // deterministic mean
+}
+
+/// FNV-1a-64 over the slot arrays of a set of genomes.
+std::uint64_t slots_digest(std::uint64_t h, const cluster::Assignment& a) {
+  const auto mix = [&](std::int64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * byte)) & 0xffULL;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (int g = 0; g < a.num_gpus(); ++g) {
+    const cluster::Slot& s = a.slot(g);
+    mix(s.job);
+    mix(s.local_batch);
+    mix(static_cast<std::int64_t>(s.health));
+  }
+  return h;
+}
+
+// Decision pin for the evolve step: 50 seeded generations plus the deployed
+// winner on a fixed world (running, waiting and fresh jobs, a down GPU and a
+// trained predictor). The digest covers every surviving genome, so any
+// change to the operators' RNG draws, their order or the scores moves it.
+// Re-pin only for an intended decision change, together with the golden
+// quickstart digest in trace_test.cpp.
+TEST(Evolution, StepDecisionsArePinned) {
+  Fixture f(3);
+  auto& r1 = f.add_job(1, "ResNet18", 20000, sched::JobStatus::Waiting, 3, 120.0);
+  f.add_job(2, "GoogleNet", 25000, sched::JobStatus::Waiting, 2, 80.0);
+  f.add_job(3, "VGG16", 10000, sched::JobStatus::Waiting, 1, 60.0);
+  f.add_job(4, "AlexNet", 30000, sched::JobStatus::Waiting, 0, 0.0);
+  f.add_job(5, "ResNet50", 15000, sched::JobStatus::Waiting, 4, 300.0);
+  f.add_job(6, "VGG16-CIFAR", 20000, sched::JobStatus::Completed, 9, 500.0);
+  for (int e = 0; e < 3; ++e) f.limits_.on_epoch_complete(r1);
+  f.run_on(1, {0, 1}, 256);
+  f.run_on(2, {4}, 128);
+  f.current_.set_health(7, cluster::SlotHealth::Failed);
+
+  predict::ProgressPredictor predictor;
+  for (JobId j = 100; j < 103; ++j) {
+    sched::JobView done;
+    done.spec.id = j;
+    done.spec.variant = {"ResNet18", "t", 20000, 10};
+    done.profile = &model::profile_by_name("ResNet18");
+    done.status = sched::JobStatus::Completed;
+    done.init_loss = done.profile->init_loss;
+    const int epochs = 20 + 3 * static_cast<int>(j - 100);
+    for (int e = 1; e <= epochs; ++e) {
+      done.epoch_log.push_back({10.0 * e, 20000.0 * e, 2.0 / e, 0.9 * e / epochs, 256});
+    }
+    done.epochs_completed = epochs;
+    done.samples_processed = 20000.0 * epochs;
+    predictor.observe_completed_job(done);
+  }
+  ASSERT_TRUE(predictor.trained());
+
+  auto ctx = f.context(&predictor);
+  EvolutionConfig cfg;
+  cfg.seed = 2021;
+  Evolution evo(cfg);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (int i = 0; i < 50; ++i) evo.step(ctx);
+  for (const auto& cand : evo.population()) h = slots_digest(h, cand);
+  h = slots_digest(h, evo.best(ctx));
+  EXPECT_EQ(h, 0x93dceeb44bd0c3c1ULL) << std::hex << "digest 0x" << h;
 }
 
 }  // namespace

@@ -9,8 +9,10 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/ones_scheduler.hpp"
 #include "drl/drl_scheduler.hpp"
+#include "model/throughput.hpp"
 #include "sched/fifo.hpp"
 #include "sched/optimus.hpp"
 #include "sched/oracle.hpp"
@@ -72,6 +74,60 @@ TEST(Oracle, NoiseIsDeterministicPerConfiguration) {
   EXPECT_DOUBLE_EQ(oracle.estimate_sps(v, 2, 512, true),
                    oracle.estimate_sps(v, 2, 512, true));
   EXPECT_NE(oracle.estimate_sps(v, 2, 512, true), oracle.estimate_sps(v, 4, 512, true));
+}
+
+// The placed estimate reads its inputs off the assignment's job index; it
+// must equal the throughput model over the explicit batch vector and GPU
+// list bit for bit, with and without profiling noise.
+TEST(Oracle, PlacedEstimateMatchesBatchVectorModel) {
+  cluster::TopologyConfig tc;
+  tc.num_nodes = 4;
+  tc.gpus_per_node = 4;
+  const cluster::Topology topo(tc);
+  const char* models[] = {"ResNet18", "VGG16", "GoogleNet", "ResNet50"};
+  for (const double sigma : {0.0, 0.3}) {
+    OracleConfig c;
+    c.noise_sigma = sigma;
+    const ThroughputOracle oracle(topo, c);
+    Rng rng(20210415);
+    int one_node = 0, multi_node = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+      cluster::Assignment a(topo.total_gpus());
+      for (int d = 0; d < 2; ++d) {
+        a.set_health(static_cast<GpuId>(rng.uniform_int(0, topo.total_gpus() - 1)),
+                     cluster::SlotHealth::Failed);
+      }
+      a.place(a.idle_gpus().front(), 99, 16);  // a bystander job
+      const auto v = make_view(trial % 4 + 1, models[trial % 4], 20000);
+      // Even trials stay on one random node, odd ones draw cluster-wide.
+      std::vector<GpuId> pool = a.idle_gpus();
+      if (trial % 2 == 0) {
+        const auto node = static_cast<NodeId>(rng.uniform_int(0, tc.num_nodes - 1));
+        std::erase_if(pool, [&](GpuId g) { return topo.node_of(g) != node; });
+        if (pool.empty()) continue;
+      }
+      rng.shuffle(pool);
+      const auto workers = static_cast<std::size_t>(
+          rng.uniform_int(1, static_cast<std::int64_t>(pool.size())));
+      for (std::size_t w = 0; w < workers; ++w) {
+        a.place(pool[w], v.spec.id,
+                static_cast<int>(rng.uniform_int(1, v.profile->max_local_batch)));
+      }
+
+      const auto gpus = a.gpus_of(v.spec.id);
+      std::vector<int> batches;
+      for (GpuId g : gpus) batches.push_back(a.slot(g).local_batch);
+      const cluster::LinkProfile link = topo.link_profile(gpus);
+      (link.bandwidth_Bps == tc.intra_node_bw_Bps ? one_node : multi_node) += 1;
+      const double expected =
+          model::throughput_sps(*v.profile, batches, link) *
+          oracle.noise_factor(v.spec.id, static_cast<int>(gpus.size()),
+                              a.global_batch(v.spec.id));
+      EXPECT_EQ(oracle.estimate_placed_sps(v, a), expected) << a.to_string();
+    }
+    EXPECT_GT(one_node, 50);
+    EXPECT_GT(multi_node, 50);
+  }
 }
 
 TEST(Oracle, CanColocateMatchesNodeSize) {
