@@ -6,15 +6,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <map>
-#include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/atomic_file.hpp"
 #include "common/host.hpp"
 #include "common/json.hpp"
 #include "core/ones_scheduler.hpp"
@@ -96,12 +93,6 @@ inline double peak_rss_mib() { return common::peak_rss_mib(); }
 
 using RunResult = exp::RunResult;
 
-inline RunResult run_one(const sched::SimulationConfig& config,
-                         const std::vector<workload::JobSpec>& trace,
-                         sched::Scheduler& scheduler) {
-  return exp::run_simulation(config, trace, scheduler);
-}
-
 /// The four schedulers of the paper's evaluation (Table 3), in figure order.
 inline std::vector<exp::SchedulerSpec> paper_schedulers() {
   return {core::OnesConfig{}, drl::DrlConfig{}, sched::TiresiasConfig{},
@@ -174,41 +165,6 @@ inline void paired_jcts(const std::vector<RunResult>& runs, std::size_t ones_ind
       }
     }
   }
-}
-
-/// The legacy serial scheduler set (light benches that probe scheduler
-/// internals or reuse instances deliberately). The DRL baseline is trained
-/// offline first.
-struct SchedulerSet {
-  std::unique_ptr<core::OnesScheduler> ones;
-  std::unique_ptr<drl::DrlScheduler> drl;
-  std::unique_ptr<sched::TiresiasScheduler> tiresias;
-  std::unique_ptr<sched::OptimusScheduler> optimus;
-  std::unique_ptr<sched::FifoScheduler> fifo;
-  std::unique_ptr<sched::SrtfOracleScheduler> srtf;
-
-  std::vector<sched::Scheduler*> paper_four() {
-    return {ones.get(), drl.get(), tiresias.get(), optimus.get()};
-  }
-  std::vector<sched::Scheduler*> all() {
-    return {ones.get(), drl.get(), tiresias.get(), optimus.get(), fifo.get(), srtf.get()};
-  }
-};
-
-inline SchedulerSet make_schedulers(bool train_drl = true) {
-  SchedulerSet s;
-  s.ones = std::make_unique<core::OnesScheduler>();
-  s.drl = std::make_unique<drl::DrlScheduler>();
-  if (train_drl) {
-    std::printf("[setup] training the DRL baseline policy offline...\n");
-    std::fflush(stdout);
-    s.drl->train();
-  }
-  s.tiresias = std::make_unique<sched::TiresiasScheduler>();
-  s.optimus = std::make_unique<sched::OptimusScheduler>();
-  s.fifo = std::make_unique<sched::FifoScheduler>();
-  s.srtf = std::make_unique<sched::SrtfOracleScheduler>();
-  return s;
 }
 
 inline void print_rule(char ch = '-', int width = 100) {
@@ -295,11 +251,7 @@ class BenchReport {
 
  private:
   void write_json(double wall_s, double rss_mib) const {
-    namespace fs = std::filesystem;
-    const std::string tmp = path_ + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (!out) throw std::runtime_error("cannot open temp file");
+    common::write_file_atomically(path_, [&](std::ostream& out) {
       out << "{\"schema\":1,\"bench\":" << json_quote(name_)
           << ",\"threads\":" << threads_ << ",\"seeds\":" << seeds_;
       out << ",\n\"metrics\":{";
@@ -322,9 +274,7 @@ class BenchReport {
         first = false;
       }
       out << "\n]}\n";
-      if (!out.good()) throw std::runtime_error("write failed");
-    }
-    fs::rename(tmp, path_);
+    });
   }
 
   static void write_map(std::ostream& out, const std::map<std::string, double>& m) {

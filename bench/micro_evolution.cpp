@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/evolution.hpp"
 #include "core/ones_scheduler.hpp"
@@ -125,7 +126,7 @@ void BM_SrufScore(benchmark::State& bench_state) {
   core::Evolution evo(core::EvolutionConfig{});
   cluster::Assignment cand(w.topo.total_gpus());
   evo.refresh(cand, ctx);
-  const core::RhoMap rho = evo.mean_rho(ctx);
+  const std::vector<double> rho = evo.mean_rho(ctx);
   for (auto _ : bench_state) {
     benchmark::DoNotOptimize(evo.score(cand, ctx, rho));
   }

@@ -2,19 +2,16 @@
 //
 // §3.2 argues evolutionary search suits the scheduling problem better than
 // other approximate searches (simulated annealing, tabu, nearest-neighbor,
-// ant colony). This scheduler makes that claim testable: it shares ONES's
-// entire machinery — batch-limit policies, progress predictor, SRUF score,
-// the refresh/repair/fill operators — but replaces the population-based
-// evolution with single-solution Metropolis annealing whose neighborhood is
-// the *uniform mutation* operator. Compare with bench/search_strategies.
+// ant colony). This scheduler makes that claim testable: it runs ONES's
+// policy loop (core::PolicyLoop: batch-limit policies, progress predictor,
+// update condition) and its SRUF score and refresh/repair/fill operators,
+// but replaces the population-based evolution with single-solution
+// Metropolis annealing whose neighborhood is the *uniform mutation*
+// operator. Compare with bench/search_strategies.
 #pragma once
 
-#include <unordered_map>
-
-#include "core/batch_policy.hpp"
 #include "core/evolution.hpp"
-#include "predict/progress_predictor.hpp"
-#include "sched/scheduler.hpp"
+#include "core/ones_scheduler.hpp"
 
 namespace ones::core {
 
@@ -42,26 +39,28 @@ class AnnealingScheduler : public sched::Scheduler {
   std::optional<cluster::Assignment> on_event(const sched::ClusterState& state,
                                               const sched::SchedulerEvent& event) override;
 
+  /// Predictor refits land in the run's registry and profile, as for ONES.
+  void set_metrics(telemetry::MetricsRegistry* metrics) override {
+    sched::Scheduler::set_metrics(metrics);
+    loop_.set_metrics(metrics);
+  }
+  void set_profiler(prof::Profiler* profiler) override {
+    sched::Scheduler::set_profiler(profiler);
+    loop_.set_profiler(profiler);
+  }
+
   double temperature() const { return temperature_; }
   std::uint64_t proposals() const { return proposals_; }
   std::uint64_t accepted() const { return accepted_; }
 
  private:
-  bool update_condition(const sched::ClusterState& state,
-                        const sched::SchedulerEvent& event) const;
-
   AnnealingConfig config_;
-  predict::ProgressPredictor predictor_;
-  BatchLimitManager limits_;
+  PolicyLoop loop_;
   Evolution toolbox_;  ///< operator implementations (population unused)
   Rng rng_;
-  cluster::Assignment incumbent_;
-  bool has_incumbent_ = false;
   double temperature_;
   std::uint64_t proposals_ = 0;
   std::uint64_t accepted_ = 0;
-  // ones-lint: unordered-ok(find-by-JobId only (progress gate); rebuilt from running_jobs() order on each deploy)
-  std::unordered_map<JobId, int> epochs_at_deploy_;
 };
 
 }  // namespace ones::core

@@ -6,6 +6,7 @@
 
 #include "common/expect.hpp"
 #include "energy/power_model.hpp"
+#include "sched/placement.hpp"
 
 namespace ones::core {
 
@@ -65,9 +66,7 @@ int Evolution::start_batch(const JobEntry& job) {
   return std::max(1, std::min(job.limit, job.view->profile->max_local_batch));
 }
 
-double Evolution::remaining_samples(const sched::JobView& job, const EvolutionContext& ctx,
-                                    double rho) const {
-  (void)ctx;
+double Evolution::remaining_samples(const sched::JobView& job, double rho) {
   // One-epoch floor: a job that has processed nothing would otherwise have
   // Y_processed * (1/rho - 1) == 0 and be invisible to the objective.
   const double y_proc = std::max(job.samples_processed, job.dataset_size());
@@ -84,45 +83,32 @@ int Evolution::effective_limit(const sched::JobView& job, const EvolutionContext
   return std::max(r, 1);
 }
 
-RhoMap Evolution::sample_rho(const EvolutionContext& ctx) {
-  RhoMap rho;
-  for (const sched::JobView* j : ctx.state->active_jobs()) {
-    if (ctx.predictor != nullptr) {
-      const auto dist = ctx.predictor->predict(*j);
-      rho[j->spec.id] = std::clamp(dist.sample(rng_), 1e-3, 1.0 - 1e-3);
-    } else {
-      rho[j->spec.id] = 0.5;  // predictor ablation: uninformed midpoint
-    }
-  }
-  return rho;
-}
-
-RhoMap Evolution::mean_rho(const EvolutionContext& ctx) const {
-  RhoMap rho;
-  for (const sched::JobView* j : ctx.state->active_jobs()) {
-    if (ctx.predictor != nullptr) {
-      rho[j->spec.id] = std::clamp(ctx.predictor->predict(*j).mean(), 1e-3, 1.0 - 1e-3);
-    } else {
-      rho[j->spec.id] = 0.5;
-    }
+std::vector<double> Evolution::rho_column(const EvolutionContext& ctx, Rng* rng) {
+  std::vector<double> rho(ctx.jobs.size(), 0.5);  // predictor ablation: uninformed midpoint
+  if (ctx.predictor == nullptr) return rho;
+  // Arrival order: the draw sequence is part of the seeded search.
+  for (const std::size_t i : ctx.by_arrival) {
+    const auto dist = ctx.predictor->predict(*ctx.jobs[i].view);
+    rho[i] = std::clamp(rng != nullptr ? dist.sample(*rng) : dist.mean(), 1e-3, 1.0 - 1e-3);
   }
   return rho;
 }
 
 double Evolution::score(const cluster::Assignment& candidate, const EvolutionContext& ctx,
-                        const RhoMap& rho) const {
+                        const std::vector<double>& rho) const {
   // Eq. 8: sum_j  Y_processed_j * c_j / X_j * (1/rho_j - 1)
   //       = sum_j  Y_remaining_j * c_j / X_j  =  sum_j  T_j * c_j  (SRUF).
+  ONES_EXPECT(rho.size() == ctx.jobs.size());
   double total = 0.0;
   const bool energy_aware =
       config_.lambda_energy != 0.0 && ctx.state->power != nullptr;
   const std::vector<JobId> running = candidate.running_jobs();
   for (JobId j : running) {
-    const sched::JobView& v = *ctx.entry(j).view;
+    const JobEntry& e = ctx.entry(j);
+    const sched::JobView& v = *e.view;
     const double x = ctx.state->oracle->estimate_placed_sps(v, candidate);
-    auto it = rho.find(j);
-    const double r = it != rho.end() ? it->second : 0.5;
-    const double rem = remaining_samples(v, ctx, r);
+    const double rem =
+        remaining_samples(v, rho[static_cast<std::size_t>(&e - ctx.jobs.data())]);
     total += rem * static_cast<double>(candidate.gpu_count(j)) / x;
     if (energy_aware) {
       // Predicted joules to finish under this placement, in TDP-GPU-second
@@ -172,13 +158,9 @@ void Evolution::clamp_job(cluster::Assignment& candidate, const JobEntry& entry)
   }
 
   const int max_b = std::min(r_limit, target_c * entry.view->profile->max_local_batch);
-  int b = std::clamp(candidate.global_batch(job), target_c, max_b);
   // Even re-split (repairs crossover children with lopsided inherited genes).
-  const int base = b / target_c;
-  const int rem = b % target_c;
-  for (int i = 0; i < target_c; ++i) {
-    candidate.place(gpus[static_cast<std::size_t>(i)], job, base + (i < rem ? 1 : 0));
-  }
+  sched::place_job_even(candidate, job, gpus,
+                        std::clamp(candidate.global_batch(job), target_c, max_b));
 }
 
 void Evolution::repair(cluster::Assignment& candidate, const EvolutionContext& ctx) {
@@ -280,22 +262,18 @@ void Evolution::fill_idle(cluster::Assignment& candidate, const EvolutionContext
       // whichever the idle pool allows.
       const int grow_c = std::max(static_cast<int>(r_limit / local), std::min(2 * c, b));
       const int target_c = std::min(grow_c, c + idle);
-      if (target_c <= c) continue;
+      // Every growth option offered above had room for one more worker.
+      ONES_EXPECT(target_c > c);
       for (int k = 0; k < target_c - c; ++k) {
         candidate.place(idle_gpus[static_cast<std::size_t>(k)], job, 1);
       }
       // Raise the batch toward the limit with the new worker count, then
       // re-split evenly (clamp_job also enforces memory limits).
-      auto gpus = candidate.gpus_of(job);
-      const int b2 = std::clamp(
-          std::min(r_limit, local * static_cast<int>(gpus.size())),
-          static_cast<int>(gpus.size()),
-          static_cast<int>(gpus.size()) * e.view->profile->max_local_batch);
-      const int base = b2 / static_cast<int>(gpus.size());
-      const int rem = b2 % static_cast<int>(gpus.size());
-      for (std::size_t i = 0; i < gpus.size(); ++i) {
-        candidate.place(gpus[i], job, base + (static_cast<int>(i) < rem ? 1 : 0));
-      }
+      const auto gpus = candidate.gpus_of(job);
+      const int n = static_cast<int>(gpus.size());
+      sched::place_job_even(candidate, job, gpus,
+                            std::clamp(std::min(r_limit, local * n), n,
+                                       n * e.view->profile->max_local_batch));
       clamp_job(candidate, e);
     }
   }
@@ -534,7 +512,7 @@ void Evolution::step(const EvolutionContext& ctx) {
   // Selection: score every candidate under one rho draw (Algorithm 1) and
   // keep the best K.
   const prof::Scope select_span(profiler_, "evolve.select");
-  const RhoMap rho = sample_rho(ctx);
+  const std::vector<double> rho = sample_rho(ctx);
   std::vector<double> scores(cands.size());
   for (std::size_t i = 0; i < cands.size(); ++i) scores[i] = score(cands[i], ctx, rho);
   std::vector<std::size_t> order(cands.size());
@@ -563,7 +541,7 @@ cluster::Assignment Evolution::best(const EvolutionContext& ctx) {
     cand.sync_health(*ctx.state->current);
     refresh(cand, ctx);
   }
-  const RhoMap rho = mean_rho(ctx);
+  const std::vector<double> rho = mean_rho(ctx);
   std::size_t best_i = 0;
   double best_s = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < population_.size(); ++i) {

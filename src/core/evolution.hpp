@@ -17,7 +17,6 @@
 //      K survive.
 #pragma once
 
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -99,15 +98,9 @@ EvolutionContext make_context(const sched::ClusterState& state,
                               const predict::ProgressPredictor* predictor,
                               const BatchLimitManager* limits);
 
-// ones-lint: unordered-ok(rho draws are read back per-JobId in score(); every consumer iterates jobs via state->jobs, never this map)
-using RhoMap = std::unordered_map<JobId, double>;
-
 class Evolution {
  public:
   explicit Evolution(const EvolutionConfig& config);
-
-  /// Drop the population (used when the cluster size changes).
-  void reset() { population_.clear(); }
 
   /// Optional metrics registry (not owned; null — the default — disables
   /// instrumentation). `step` records the operator counters
@@ -143,21 +136,24 @@ class Evolution {
   /// Enforce feasibility: known jobs only, warm-up single-GPU rule, B <= R,
   /// per-GPU memory limits, even batch splits.
   void repair(cluster::Assignment& candidate, const EvolutionContext& ctx);
-  /// SRUF score (Eq. 8); lower is better.
+  /// SRUF score (Eq. 8) under `rho`, a column of `ctx.jobs`; lower is better.
   double score(const cluster::Assignment& candidate, const EvolutionContext& ctx,
-               const RhoMap& rho) const;
-  /// Algorithm 1, lines 1-3: one progress draw per active job.
-  RhoMap sample_rho(const EvolutionContext& ctx);
+               const std::vector<double>& rho) const;
+  /// Algorithm 1, lines 1-3: one progress draw per active job, as a column
+  /// of `ctx.jobs` (rho[i] belongs to ctx.jobs[i]).
+  std::vector<double> sample_rho(const EvolutionContext& ctx) { return rho_column(ctx, &rng_); }
 
-  /// Deterministic rho at the distribution mean. Deployment decisions use
-  /// this (stable incumbent-vs-challenger comparison); the stochastic draws
-  /// drive exploration inside the evolution loop.
-  RhoMap mean_rho(const EvolutionContext& ctx) const;
+  /// Deterministic rho at the distribution mean, as a column of `ctx.jobs`.
+  /// Deployment decisions use this (stable incumbent-vs-challenger
+  /// comparison); the stochastic draws drive exploration inside the
+  /// evolution loop.
+  std::vector<double> mean_rho(const EvolutionContext& ctx) const {
+    return rho_column(ctx, nullptr);
+  }
 
   /// Predicted remaining workload Y_j (Eq. 7) with a one-epoch floor for
   /// cold jobs (Y_processed = 0 would otherwise make them weightless).
-  double remaining_samples(const sched::JobView& job, const EvolutionContext& ctx,
-                           double rho) const;
+  static double remaining_samples(const sched::JobView& job, double rho);
 
   /// Effective batch limit: the policy limit R further capped at twice the
   /// job's *live* batch — §3.3.2's "scaled within a limited range at each
@@ -166,6 +162,9 @@ class Evolution {
 
  private:
   std::size_t population_size(const EvolutionContext& ctx) const;
+  /// The rho column: one draw from `rng` per job in arrival order, or the
+  /// distribution means when `rng` is null; 1/2 without a predictor.
+  static std::vector<double> rho_column(const EvolutionContext& ctx, Rng* rng);
   /// Fill idle GPUs by probability sampling over resume / scale-up actions
   /// (Figure 7).
   void fill_idle(cluster::Assignment& candidate, const EvolutionContext& ctx);

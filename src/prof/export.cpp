@@ -1,12 +1,10 @@
 #include "prof/export.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 
+#include "common/atomic_file.hpp"
 #include "common/json.hpp"
 
 namespace ones::prof {
@@ -38,29 +36,11 @@ void write_profile_json(std::ostream& out, const std::vector<SpanStats>& stats) 
   out << "\n]}\n";
 }
 
-namespace {
-
-/// Distinguishes concurrent writers targeting the same final path (identical
-/// duplicate specs in one grid); the value never reaches the profile bytes.
-std::string unique_tmp_suffix() {
-  static std::atomic<std::uint64_t> counter{0};
-  return ".tmp" + std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
-}
-
-}  // namespace
-
 void write_profile_file(const std::string& dir, const std::string& stem,
                         const std::vector<SpanStats>& stats) {
   fs::create_directories(dir);
-  const std::string path = (fs::path(dir) / (stem + ".prof.json")).string();
-  const std::string tmp = path + unique_tmp_suffix();
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot open profile file under '" + dir + "'");
-    write_profile_json(out, stats);
-    if (!out.good()) throw std::runtime_error("failed writing '" + tmp + "'");
-  }
-  fs::rename(tmp, path);
+  common::write_file_atomically((fs::path(dir) / (stem + ".prof.json")).string(),
+                                [&](std::ostream& out) { write_profile_json(out, stats); });
 }
 
 std::vector<std::string> chrome_span_events(const Profiler& profiler) {

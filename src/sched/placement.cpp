@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/expect.hpp"
-#include "model/throughput.hpp"
 
 namespace ones::sched {
 
@@ -56,9 +55,14 @@ std::vector<GpuId> pick_idle_gpus(const cluster::Assignment& assignment,
 void place_job_even(cluster::Assignment& assignment, JobId job,
                     const std::vector<GpuId>& gpus, int global_batch) {
   ONES_EXPECT(!gpus.empty());
-  const auto split = model::even_split(global_batch, static_cast<int>(gpus.size()));
-  for (std::size_t i = 0; i < gpus.size(); ++i) {
-    assignment.place(gpus[i], job, split[i]);
+  const int workers = static_cast<int>(gpus.size());
+  ONES_EXPECT_MSG(global_batch >= workers, "cannot give every worker a sample");
+  // model::even_split's shares, without building them: the first B % c
+  // workers take one extra sample.
+  const int base = global_batch / workers;
+  const int rem = global_batch % workers;
+  for (int i = 0; i < workers; ++i) {
+    assignment.place(gpus[static_cast<std::size_t>(i)], job, base + (i < rem ? 1 : 0));
   }
 }
 

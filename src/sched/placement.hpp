@@ -20,7 +20,10 @@ namespace ones::sched {
 std::vector<GpuId> pick_idle_gpus(const cluster::Assignment& assignment,
                                   const cluster::Topology& topology, int count);
 
-/// Place `job` on `gpus` splitting `global_batch` as evenly as possible.
+/// Place `job` on `gpus` splitting `global_batch` as evenly as possible
+/// (model::even_split's shares, in `gpus` order); needs global_batch >=
+/// gpus.size(). The one even-split placement: the gang baselines and the
+/// ONES operators all place through it.
 void place_job_even(cluster::Assignment& assignment, JobId job,
                     const std::vector<GpuId>& gpus, int global_batch);
 

@@ -1,13 +1,11 @@
 #include "telemetry/exporters.hpp"
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
+#include "common/atomic_file.hpp"
 #include "common/json.hpp"
 
 namespace fs = std::filesystem;
@@ -125,45 +123,17 @@ std::string format_host_metrics(const MetricsRegistry& registry) {
   return os.str();
 }
 
-namespace {
-
-/// Distinguishes concurrent writers targeting the same final path; the value
-/// never reaches the exported bytes (same idiom as `trace::RunTraceWriter`).
-std::string unique_tmp_suffix() {
-  static std::atomic<std::uint64_t> counter{0};
-  return ".tmp" + std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
-}
-
-template <typename WriteFn>
-void write_atomically(const fs::path& final_path, WriteFn&& write) {
-  const fs::path tmp = final_path.string() + unique_tmp_suffix();
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("cannot open metrics file '" + tmp.string() + "'");
-    }
-    write(out);
-    out.flush();
-    if (!out) {
-      throw std::runtime_error("failed writing metrics file '" + tmp.string() + "'");
-    }
-  }
-  fs::rename(tmp, final_path);
-}
-
-}  // namespace
-
 void write_metrics_files(const MetricsRegistry& registry, const std::string& dir,
                          const std::string& stem) {
   fs::create_directories(dir);
   const fs::path base = fs::path(dir) / stem;
-  write_atomically(base.string() + ".timeline.csv", [&](std::ostream& os) {
+  common::write_file_atomically(base.string() + ".timeline.csv", [&](std::ostream& os) {
     write_timeline_csv(os, registry.timeline());
   });
-  write_atomically(base.string() + ".prom",
-                   [&](std::ostream& os) { write_prometheus(os, registry); });
-  write_atomically(base.string() + ".metrics.json",
-                   [&](std::ostream& os) { write_json_summary(os, registry); });
+  common::write_file_atomically(base.string() + ".prom",
+                                [&](std::ostream& os) { write_prometheus(os, registry); });
+  common::write_file_atomically(base.string() + ".metrics.json",
+                                [&](std::ostream& os) { write_json_summary(os, registry); });
 }
 
 }  // namespace ones::telemetry

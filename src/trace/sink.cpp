@@ -1,6 +1,5 @@
 #include "trace/sink.hpp"
 
-#include <atomic>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
@@ -169,30 +168,19 @@ void ChromeTraceSink::on_record(const TraceRecord& r) {
 
 namespace {
 
-/// Distinguishes concurrent writers targeting the same final path (identical
-/// duplicate specs in one grid); the value never reaches the trace bytes.
-std::string unique_tmp_suffix() {
-  static std::atomic<std::uint64_t> counter{0};
-  return ".tmp" + std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
+/// `<dir>/<name>`, creating `dir` first.
+std::string path_in(const std::string& dir, const std::string& name) {
+  fs::create_directories(dir);
+  return (fs::path(dir) / name).string();
 }
 
 }  // namespace
 
-RunTraceWriter::RunTraceWriter(const std::string& dir, const std::string& stem) {
-  fs::create_directories(dir);
-  jsonl_path_ = (fs::path(dir) / (stem + ".jsonl")).string();
-  chrome_path_ = (fs::path(dir) / (stem + ".trace.json")).string();
-  const std::string suffix = unique_tmp_suffix();
-  jsonl_tmp_ = jsonl_path_ + suffix;
-  chrome_tmp_ = chrome_path_ + suffix;
-  jsonl_out_.open(jsonl_tmp_, std::ios::binary | std::ios::trunc);
-  chrome_out_.open(chrome_tmp_, std::ios::binary | std::ios::trunc);
-  if (!jsonl_out_ || !chrome_out_) {
-    throw std::runtime_error("cannot open trace files under '" + dir + "'");
-  }
-  jsonl_ = std::make_unique<JsonlSink>(jsonl_out_);
-  chrome_ = std::make_unique<ChromeTraceSink>(chrome_out_);
-}
+RunTraceWriter::RunTraceWriter(const std::string& dir, const std::string& stem)
+    : jsonl_file_(path_in(dir, stem + ".jsonl")),
+      chrome_file_(path_in(dir, stem + ".trace.json")),
+      jsonl_(std::make_unique<JsonlSink>(jsonl_file_.out())),
+      chrome_(std::make_unique<ChromeTraceSink>(chrome_file_.out())) {}
 
 RunTraceWriter::~RunTraceWriter() {
   try {
@@ -216,11 +204,8 @@ void RunTraceWriter::close() {
   if (closed_) return;
   closed_ = true;
   chrome_->close();
-  jsonl_out_.flush();
-  jsonl_out_.close();
-  chrome_out_.close();
-  fs::rename(jsonl_tmp_, jsonl_path_);
-  fs::rename(chrome_tmp_, chrome_path_);
+  jsonl_file_.commit();
+  chrome_file_.commit();
 }
 
 }  // namespace ones::trace

@@ -9,7 +9,6 @@
 // chrome://tracing for visual inspection.
 #pragma once
 
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <ostream>
@@ -18,6 +17,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/atomic_file.hpp"
 #include "trace/record.hpp"
 
 namespace ones::trace {
@@ -129,10 +129,10 @@ inline std::function<void(double, const std::string&)> protocol_phase_hook(
 }
 
 /// Owns the two on-disk trace files of one run: `<dir>/<stem>.jsonl` and
-/// `<dir>/<stem>.trace.json`. Records stream to uniquely-named temp files
-/// that are renamed into place by `close()`, so an interrupted run never
-/// leaves a file that looks complete and concurrent writers of an identical
-/// spec never interleave.
+/// `<dir>/<stem>.trace.json`. Records stream to common::AtomicFile temp
+/// files that are renamed into place by `close()`, so an interrupted run
+/// never leaves a file that looks complete and concurrent writers of an
+/// identical spec never interleave.
 class RunTraceWriter final : public TraceSink {
  public:
   RunTraceWriter(const std::string& dir, const std::string& stem);
@@ -145,16 +145,12 @@ class RunTraceWriter final : public TraceSink {
   /// never sees it, so merged host-profiler tracks cannot move the digest.
   void chrome_raw_event(const std::string& event_json);
 
-  const std::string& jsonl_path() const { return jsonl_path_; }
-  const std::string& chrome_path() const { return chrome_path_; }
+  const std::string& jsonl_path() const { return jsonl_file_.path(); }
+  const std::string& chrome_path() const { return chrome_file_.path(); }
 
  private:
-  std::string jsonl_path_;
-  std::string chrome_path_;
-  std::string jsonl_tmp_;
-  std::string chrome_tmp_;
-  std::ofstream jsonl_out_;
-  std::ofstream chrome_out_;
+  common::AtomicFile jsonl_file_;
+  common::AtomicFile chrome_file_;
   std::unique_ptr<JsonlSink> jsonl_;
   std::unique_ptr<ChromeTraceSink> chrome_;
   bool closed_ = false;

@@ -1,10 +1,18 @@
 // Unit tests for src/common: RNG determinism and distribution sanity,
-// math utilities, and the expectation macros.
+// math utilities, the expectation macros and the crash-safe file writer.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "common/atomic_file.hpp"
 #include "common/expect.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
@@ -201,6 +209,68 @@ TEST(Expect, ThrowsWithMessage) {
 
 TEST(Expect, PassesOnTrue) {
   EXPECT_NO_THROW(ONES_EXPECT(1 + 1 == 2));
+}
+
+namespace fs = std::filesystem;
+
+/// A fresh, empty directory for one test.
+fs::path fresh_dir(const std::string& name) {
+  const fs::path dir = fs::path(::testing::TempDir()) / ("ones_common_test_" + name);
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+std::vector<std::string> entries(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& e : fs::directory_iterator(dir)) names.push_back(e.path().filename());
+  return names;
+}
+
+TEST(AtomicFile, ConcurrentWritersToOnePathLeaveOneCompleteFile) {
+  const fs::path dir = fresh_dir("concurrent");
+  const std::string path = (dir / "out.json").string();
+  // Each writer's bytes identify it and are long enough to interleave if two
+  // writers ever shared a temp file.
+  const auto content = [](int writer) {
+    return std::string(64 * 1024, static_cast<char>('a' + writer)) + "\n";
+  };
+  constexpr int kWriters = 6;
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int round = 0; round < 10; ++round) {
+        common::write_file_atomically(path, [&](std::ostream& out) { out << content(w); });
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(entries(dir), std::vector<std::string>{"out.json"});  // no .tmp* left
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  bool matches_one_writer = false;
+  for (int w = 0; w < kWriters; ++w) matches_one_writer |= bytes == content(w);
+  EXPECT_TRUE(matches_one_writer);
+  fs::remove_all(dir);
+}
+
+TEST(AtomicFile, UncommittedOrFailedWritesLeaveNothing) {
+  const fs::path dir = fresh_dir("uncommitted");
+  const std::string path = (dir / "out.txt").string();
+  {
+    common::AtomicFile file(path);
+    file.out() << "partial";
+  }
+  EXPECT_THROW(common::write_file_atomically(path,
+                                             [](std::ostream& out) {
+                                               out << "partial";
+                                               throw std::runtime_error("writer failed");
+                                             }),
+               std::runtime_error);
+  EXPECT_TRUE(entries(dir).empty());
+  EXPECT_THROW(common::AtomicFile((dir / "missing" / "out.txt").string()), std::runtime_error);
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "core/batch_policy.hpp"
 #include "core/evolution.hpp"
@@ -360,7 +361,7 @@ TEST(Evolution, ReorderImprovesLocalityScore) {
   spread.place(0, 1, 64);
   spread.place(4, 1, 64);  // crosses nodes
   const auto packed = Evolution::reorder(spread);
-  RhoMap rho{{1, 0.5}};
+  const std::vector<double> rho{0.5};  // job 1, the only entry of ctx.jobs
   EXPECT_LT(evo.score(packed, ctx, rho), evo.score(spread, ctx, rho));
 }
 
@@ -404,7 +405,7 @@ TEST(Evolution, ScoreIsSrufUtilization) {
   Evolution evo(EvolutionConfig{});
   cluster::Assignment cand(f.topo_.total_gpus());
   cand.place(0, 1, 256);
-  RhoMap rho{{1, 0.5}};
+  const std::vector<double> rho{0.5};  // job 1, the only entry of ctx.jobs
   // Eq. 8: Y_proc * c / X * (1/rho - 1); plus switch surcharge because the
   // live assignment (empty) differs... job 1 is Running in view but absent
   // from live, so no switch penalty applies (it is charged as a resume).
@@ -427,7 +428,7 @@ TEST(Evolution, ScorePrefersShorterRemaining) {
   run_a.place(0, 1, 256);
   run_b.place(0, 2, 256);
   // Job 1 is nearly done (rho -> 1), job 2 barely started (rho small).
-  RhoMap rho{{1, 0.9}, {2, 0.1}};
+  const std::vector<double> rho{0.9, 0.1};  // ctx.jobs is {1, 2}
   EXPECT_LT(evo.score(run_a, ctx, rho), evo.score(run_b, ctx, rho));
 }
 
@@ -457,7 +458,7 @@ TEST(Evolution, StepImprovesOrMaintainsBestScore) {
   cfg.population_size = 8;
   Evolution evo(cfg);
   evo.ensure_population(ctx);
-  const RhoMap rho = evo.mean_rho(ctx);
+  const std::vector<double> rho = evo.mean_rho(ctx);
   double best0 = 1e300;
   for (const auto& cand : evo.population()) best0 = std::min(best0, evo.score(cand, ctx, rho));
   for (int i = 0; i < 5; ++i) evo.step(ctx);
@@ -486,7 +487,8 @@ TEST(Evolution, SampleRhoWithoutPredictorIsHalf) {
   auto ctx = f.context(nullptr);
   Evolution evo(EvolutionConfig{});
   const auto rho = evo.sample_rho(ctx);
-  EXPECT_DOUBLE_EQ(rho.at(1), 0.5);
+  ASSERT_EQ(rho.size(), 1u);
+  EXPECT_DOUBLE_EQ(rho[0], 0.5);
 }
 
 TEST(Evolution, SampleRhoWithPredictorVariesMeanRhoDoesNot) {
@@ -498,10 +500,36 @@ TEST(Evolution, SampleRhoWithPredictorVariesMeanRhoDoesNot) {
   Evolution evo(EvolutionConfig{});
   const auto s1 = evo.sample_rho(ctx);
   const auto s2 = evo.sample_rho(ctx);
-  EXPECT_NE(s1.at(1), s2.at(1));  // stochastic draws
+  EXPECT_NE(s1.at(0), s2.at(0));  // stochastic draws
   const auto m1 = evo.mean_rho(ctx);
   const auto m2 = evo.mean_rho(ctx);
-  EXPECT_DOUBLE_EQ(m1.at(1), m2.at(1));  // deterministic mean
+  EXPECT_DOUBLE_EQ(m1.at(0), m2.at(0));  // deterministic mean
+}
+
+TEST(Evolution, RhoColumnDrawsInArrivalOrder) {
+  // Arrival order 3, 1, 2 differs from the table's JobId order: the draws
+  // follow arrivals (the seeded sequence) and land at each job's table row.
+  Fixture f;
+  for (const int j : {3, 1, 2}) {
+    auto& v = f.add_job(j, "ResNet18", 20000, sched::JobStatus::Running, 2 + j);
+    v.samples_processed = 20000.0 * (2 + j);
+  }
+  predict::ProgressPredictor predictor;
+  auto ctx = f.context(&predictor);
+  EvolutionConfig cfg;
+  cfg.seed = 7;
+  Evolution evo(cfg);
+  const std::vector<double> rho = evo.sample_rho(ctx);
+  const std::vector<double> mean = evo.mean_rho(ctx);
+  ASSERT_EQ(rho.size(), ctx.jobs.size());
+  ASSERT_EQ(mean.size(), ctx.jobs.size());
+  Rng rng(cfg.seed);
+  for (const sched::JobView* v : f.state_.active_jobs()) {
+    const auto dist = predictor.predict(*v);
+    const auto i = static_cast<std::size_t>(ctx.find(v->spec.id) - ctx.jobs.data());
+    EXPECT_EQ(rho[i], std::clamp(dist.sample(rng), 1e-3, 1.0 - 1e-3)) << "job " << v->spec.id;
+    EXPECT_EQ(mean[i], std::clamp(dist.mean(), 1e-3, 1.0 - 1e-3)) << "job " << v->spec.id;
+  }
 }
 
 /// FNV-1a-64 over the slot arrays of a set of genomes.
