@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/host.hpp"
 #include "harness.hpp"
 
 using namespace ones;
@@ -225,7 +226,7 @@ int run_hyperscale(const exp::BenchOptions& opt, bench::BenchReport& report) {
                    tier.nodes * 4, wall_s,
                    static_cast<double>(events_total) / wall_s,
                    static_cast<double>(decisions_total) / wall_s,
-                   bench::peak_rss_mib());
+                   common::peak_rss_mib());
     } else {
       std::fprintf(stderr,
                    "[hyperscale] %5d GPUs: %.0f/%zu runs executed (rest cached); "

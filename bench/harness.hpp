@@ -86,11 +86,6 @@ class WallClock {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Peak resident set size (VmHWM) in MiB; 0.0 when unavailable (non-Linux).
-/// Diagnostics only — callers print it to stderr or BENCH_*.json. The
-/// reader itself lives in src/common (common::peak_rss_mib).
-inline double peak_rss_mib() { return common::peak_rss_mib(); }
-
 using RunResult = exp::RunResult;
 
 /// The four schedulers of the paper's evaluation (Table 3), in figure order.

@@ -73,31 +73,34 @@ int main(int argc, char** argv) {
               config.topology.num_nodes * config.topology.gpus_per_node);
   std::printf("%s\n", telemetry::format_summary_header().c_str());
 
-  const auto make_writer = [&trace_dir](const char* stem) {
-    return trace_dir.empty()
-               ? nullptr
-               : std::make_unique<trace::RunTraceWriter>(trace_dir, stem);
-  };
+  core::OnesScheduler ones_sched;
+  sched::FifoScheduler fifo;
+  const struct {
+    const char* label;
+    const char* stem;
+    sched::Scheduler& policy;
+  } runs[] = {{"ONES", "quickstart_ones", ones_sched}, {"FIFO", "quickstart_fifo", fifo}};
 
-  {
-    const auto writer = make_writer("quickstart_ones");
-    auto traced_config = config;
-    traced_config.trace_sink = writer.get();
+  for (const auto& run : runs) {
+    const auto writer = trace_dir.empty()
+                            ? nullptr
+                            : std::make_unique<trace::RunTraceWriter>(trace_dir, run.stem);
+    auto run_config = config;
+    run_config.trace_sink = writer.get();
     telemetry::MetricsRegistry registry;
-    if (!metrics_dir.empty()) traced_config.metrics = &registry;
+    if (!metrics_dir.empty()) run_config.metrics = &registry;
     std::optional<prof::Profiler> profiler;
     if (!prof_dir.empty()) {
       profiler.emplace();
       if (writer) profiler->enable_timeline();
-      traced_config.profiler = &*profiler;
+      run_config.profiler = &*profiler;
     }
-    core::OnesScheduler ones_sched;
-    sched::ClusterSimulation sim(traced_config, trace, ones_sched);
+    sched::ClusterSimulation sim(run_config, trace, run.policy);
     sim.run();
     if (!metrics_dir.empty()) {
-      telemetry::write_metrics_files(registry, metrics_dir, "quickstart_ones");
+      telemetry::write_metrics_files(registry, metrics_dir, run.stem);
       // Host-scope (wall-clock) instruments are stderr-only by contract.
-      std::fprintf(stderr, "[host metrics] quickstart_ones\n%s",
+      std::fprintf(stderr, "[host metrics] %s\n%s", run.stem,
                    telemetry::format_host_metrics(registry).c_str());
     }
     if (profiler) {
@@ -108,50 +111,19 @@ int main(int argc, char** argv) {
           writer->chrome_raw_event(ev);
         }
       }
-      prof::write_profile_file(prof_dir, "quickstart_ones", profiler->stats());
-      std::fprintf(stderr, "[prof] quickstart_ones\n%s",
+      prof::write_profile_file(prof_dir, run.stem, profiler->stats());
+      std::fprintf(stderr, "[prof] %s\n%s", run.stem,
                    prof::format_profile(profiler->stats()).c_str());
     }
-    const auto s = sim.summary("ONES");
-    std::printf("%s\n", telemetry::format_summary_row(s).c_str());
-    std::printf("  completed %zu/%d jobs, %llu schedule deployments, %llu evolution rounds\n",
-                sim.completed_jobs(), trace_config.num_jobs,
-                static_cast<unsigned long long>(sim.deployments()),
-                static_cast<unsigned long long>(ones_sched.evolution_rounds()));
-  }
-  {
-    const auto writer = make_writer("quickstart_fifo");
-    auto traced_config = config;
-    traced_config.trace_sink = writer.get();
-    telemetry::MetricsRegistry registry;
-    if (!metrics_dir.empty()) traced_config.metrics = &registry;
-    std::optional<prof::Profiler> profiler;
-    if (!prof_dir.empty()) {
-      profiler.emplace();
-      if (writer) profiler->enable_timeline();
-      traced_config.profiler = &*profiler;
+    std::printf("%s\n", telemetry::format_summary_row(sim.summary(run.label)).c_str());
+    if (&run.policy == &ones_sched) {
+      std::printf("  completed %zu/%d jobs, %llu schedule deployments, %llu evolution rounds\n",
+                  sim.completed_jobs(), trace_config.num_jobs,
+                  static_cast<unsigned long long>(sim.deployments()),
+                  static_cast<unsigned long long>(ones_sched.evolution_rounds()));
+    } else {
+      std::printf("  completed %zu/%d jobs\n", sim.completed_jobs(), trace_config.num_jobs);
     }
-    sched::FifoScheduler fifo;
-    sched::ClusterSimulation sim(traced_config, trace, fifo);
-    sim.run();
-    if (!metrics_dir.empty()) {
-      telemetry::write_metrics_files(registry, metrics_dir, "quickstart_fifo");
-      std::fprintf(stderr, "[host metrics] quickstart_fifo\n%s",
-                   telemetry::format_host_metrics(registry).c_str());
-    }
-    if (profiler) {
-      if (writer) {
-        for (const auto& ev : prof::chrome_span_events(*profiler)) {
-          writer->chrome_raw_event(ev);
-        }
-      }
-      prof::write_profile_file(prof_dir, "quickstart_fifo", profiler->stats());
-      std::fprintf(stderr, "[prof] quickstart_fifo\n%s",
-                   prof::format_profile(profiler->stats()).c_str());
-    }
-    const auto s = sim.summary("FIFO");
-    std::printf("%s\n", telemetry::format_summary_row(s).c_str());
-    std::printf("  completed %zu/%d jobs\n", sim.completed_jobs(), trace_config.num_jobs);
   }
   if (!trace_dir.empty()) {
     std::printf("traces written to %s/\n", trace_dir.c_str());

@@ -33,28 +33,4 @@ FragmentationStats fragmentation_stats(const Assignment& assignment,
   return stats;
 }
 
-LocalityStats locality_stats(const Assignment& assignment, const Topology& topology) {
-  ONES_EXPECT(assignment.num_gpus() == topology.total_gpus());
-  LocalityStats stats;
-  double total_spanned = 0.0;
-  for (JobId j : assignment.running_jobs()) {
-    const auto gpus = assignment.gpus_of(j);
-    if (gpus.size() < 2) continue;
-    stats.jobs += 1;
-    const int spanned = topology.nodes_spanned(gpus);
-    total_spanned += spanned;
-    if (spanned == 1) stats.colocated_jobs += 1;
-  }
-  if (stats.jobs > 0) {
-    stats.avg_nodes_spanned = total_spanned / static_cast<double>(stats.jobs);
-  }
-  return stats;
-}
-
-bool can_place_colocated(const Assignment& assignment, const Topology& topology,
-                         int size) {
-  ONES_EXPECT(size >= 1);
-  return fragmentation_stats(assignment, topology).largest_colocated_block >= size;
-}
-
 }  // namespace ones::cluster

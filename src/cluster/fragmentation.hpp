@@ -1,10 +1,10 @@
-// Fragmentation and locality analytics over a cluster Assignment.
+// Fragmentation statistics over a cluster Assignment.
 //
 // §2.2 motivates elasticity with the fragmentation problem: idle GPUs that
 // are too scattered to satisfy any pending gang request are wasted. These
-// metrics quantify that — how large a gang the current free pool could
-// still place with full locality, how scattered running jobs are — and feed
-// examples / benches that visualize scheduler behaviour.
+// statistics quantify that — how large a gang the current free pool could
+// still place with full locality, and how scattered that pool is — and feed
+// the simulation's cluster_frag_* gauges (DESIGN.md §10).
 #pragma once
 
 #include "cluster/assignment.hpp"
@@ -26,17 +26,5 @@ struct FragmentationStats {
 
 FragmentationStats fragmentation_stats(const Assignment& assignment,
                                        const Topology& topology);
-
-struct LocalityStats {
-  int jobs = 0;              ///< running multi-GPU jobs considered
-  int colocated_jobs = 0;    ///< jobs whose workers share one node
-  double avg_nodes_spanned = 0.0;  ///< mean nodes spanned per multi-GPU job
-};
-
-LocalityStats locality_stats(const Assignment& assignment, const Topology& topology);
-
-/// True iff a gang of `size` GPUs can be placed on a single node.
-bool can_place_colocated(const Assignment& assignment, const Topology& topology,
-                         int size);
 
 }  // namespace ones::cluster

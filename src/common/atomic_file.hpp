@@ -21,7 +21,6 @@ class AtomicFile {
   AtomicFile& operator=(const AtomicFile&) = delete;
 
   std::ostream& out() { return out_; }
-  const std::string& path() const { return path_; }
 
   /// Flush, close and rename into place; throws std::runtime_error on a
   /// failed write (the temp file is removed). No-op once committed.

@@ -91,8 +91,13 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxJsonDepth) fail("arrays/objects nested too deeply");
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::String;
@@ -242,6 +247,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects currently open
 };
 
 }  // namespace

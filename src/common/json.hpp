@@ -29,8 +29,13 @@ struct JsonValue {
   const JsonValue* find(const std::string& key) const;
 };
 
+/// Deepest array/object nesting parse_json accepts. The documents this
+/// program writes nest a handful of levels; the cap keeps hostile input
+/// from overflowing the recursive parser's stack.
+inline constexpr int kMaxJsonDepth = 256;
+
 /// Parse a complete JSON document; throws std::runtime_error on malformed
-/// input or trailing garbage.
+/// input, trailing garbage or nesting deeper than kMaxJsonDepth.
 JsonValue parse_json(std::string_view text);
 
 /// Exact round-trip rendering of a double (%.17g).

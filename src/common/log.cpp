@@ -1,42 +1,20 @@
 #include "common/log.hpp"
 
-#include <atomic>
+#include <iostream>
 
-namespace ones {
+namespace ones::detail {
 
-namespace {
-std::atomic<int> g_level{static_cast<int>(LogLevel::Warn)};
-}  // namespace
-
-LogLevel log_level() { return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed)); }
-
-void set_log_level(LogLevel level) { g_level.store(static_cast<int>(level), std::memory_order_relaxed); }
-
-const char* log_level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::Debug: return "DEBUG";
-    case LogLevel::Info: return "INFO";
-    case LogLevel::Warn: return "WARN";
-    case LogLevel::Error: return "ERROR";
-    case LogLevel::Off: return "OFF";
-  }
-  return "?";
-}
-
-namespace detail {
-
-LogLine::LogLine(LogLevel level, const char* file, int line) : level_(level) {
+WarnLine::WarnLine(const char* file, int line) {
   const char* base = file;
   for (const char* p = file; *p; ++p) {
     if (*p == '/') base = p + 1;
   }
-  os_ << "[" << log_level_name(level_) << "] " << base << ":" << line << " ";
+  os_ << "[WARN] " << base << ":" << line << " ";
 }
 
-LogLine::~LogLine() {
+WarnLine::~WarnLine() {
   os_ << "\n";
   std::cerr << os_.str();
 }
 
-}  // namespace detail
-}  // namespace ones
+}  // namespace ones::detail

@@ -1,49 +1,32 @@
-// Minimal leveled logger for the simulator.
+// Warning lines for the simulator.
 //
-// Components log through ONES_LOG(level) << ...; the global level defaults to
-// Warn so that tests and benchmarks stay quiet, and examples can turn on Info
-// to narrate a run.
+// Components report recoverable trouble (a discarded cache entry, a run that
+// ended with unfinished jobs) through ONES_WARN << ...; each statement writes
+// one line "[WARN] file:line msg" to stderr.
 #pragma once
 
-#include <iostream>
 #include <sstream>
-#include <string>
 
-namespace ones {
+namespace ones::detail {
 
-enum class LogLevel : int { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
-
-/// Global log level. Messages below this level are discarded.
-LogLevel log_level();
-void set_log_level(LogLevel level);
-
-const char* log_level_name(LogLevel level);
-
-namespace detail {
-
-/// Accumulates one log line and flushes it to stderr on destruction.
-class LogLine {
+/// Accumulates one warning line and flushes it to stderr on destruction.
+class WarnLine {
  public:
-  LogLine(LogLevel level, const char* file, int line);
-  ~LogLine();
-  LogLine(const LogLine&) = delete;
-  LogLine& operator=(const LogLine&) = delete;
+  WarnLine(const char* file, int line);
+  ~WarnLine();
+  WarnLine(const WarnLine&) = delete;
+  WarnLine& operator=(const WarnLine&) = delete;
 
   template <typename T>
-  LogLine& operator<<(const T& value) {
+  WarnLine& operator<<(const T& value) {
     os_ << value;
     return *this;
   }
 
  private:
-  LogLevel level_;
   std::ostringstream os_;
 };
 
-}  // namespace detail
-}  // namespace ones
+}  // namespace ones::detail
 
-#define ONES_LOG(level)                                            \
-  if (::ones::LogLevel::level < ::ones::log_level()) {             \
-  } else                                                           \
-    ::ones::detail::LogLine(::ones::LogLevel::level, __FILE__, __LINE__)
+#define ONES_WARN ::ones::detail::WarnLine(__FILE__, __LINE__)

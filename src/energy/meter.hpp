@@ -65,7 +65,6 @@ class EnergyMeter {
 
   // ---- Current draw (watts) ----
   double cluster_watts() const { return cluster_watts_; }
-  double overhead_watts() const { return overhead_watts_; }
 
   // ---- Integrated energy (joules) ----
   double cluster_joules() const { return cluster_joules_; }

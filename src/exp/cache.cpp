@@ -34,8 +34,8 @@ std::optional<RunResult> ResultCache::load(const RunSpec& spec) const {
     hits_.fetch_add(1);
     return r;
   } catch (const std::runtime_error& e) {
-    ONES_LOG(Warn) << "discarding unreadable cache entry " << path_for(spec) << ": "
-                   << e.what();
+    ONES_WARN << "discarding unreadable cache entry " << path_for(spec) << ": "
+              << e.what();
     demotions_.fetch_add(1);
     misses_.fetch_add(1);
     return std::nullopt;
@@ -53,7 +53,7 @@ void ResultCache::store(const RunSpec& spec, const RunResult& result) const {
     common::write_file_atomically(
         final_path, [&](std::ostream& out) { out << result_to_json(result) << '\n'; });
   } catch (const std::exception& e) {
-    ONES_LOG(Warn) << "failed to store cache entry " << final_path << ": " << e.what();
+    ONES_WARN << "failed to store cache entry " << final_path << ": " << e.what();
   }
 }
 

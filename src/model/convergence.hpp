@@ -87,8 +87,6 @@ class TrainDynamics {
   bool converged() const { return converged_; }
 
   // ---- Ground truth (oracle baselines, calibration, tests) ----
-  /// Progress units needed to first hit the target accuracy.
-  double required_progress() const { return required_progress_; }
   /// Estimated raw samples still to process if trained at a fixed batch B
   /// from now on (including the patience tail).
   double oracle_remaining_samples(int batch) const;

@@ -262,9 +262,9 @@ void ClusterSimulation::run() {
     registry_->gauge("sim_events_fired").set(static_cast<double>(engine_.fired()));
   }
   if (!all_completed()) {
-    ONES_LOG(Warn) << "simulation ended with " << (trace_.size() - completed_count_)
-                   << " unfinished job(s) — scheduler '" << scheduler_.name()
-                   << "' left work stranded or hit the time limit";
+    ONES_WARN << "simulation ended with " << (trace_.size() - completed_count_)
+              << " unfinished job(s) — scheduler '" << scheduler_.name()
+              << "' left work stranded or hit the time limit";
   }
   if (sink_ != nullptr) {
     // "truncated" tells the replayer this run was cut off (time box / max

@@ -24,39 +24,12 @@ BootstrapCi percentile_interval(double point, std::vector<double> stats_sample,
 
 }  // namespace
 
-BootstrapCi bootstrap_mean_ci(const std::vector<double>& sample, int resamples,
-                              double coverage, std::uint64_t seed) {
-  ONES_EXPECT(!sample.empty());
-  ONES_EXPECT(resamples > 0);
-  ONES_EXPECT(coverage > 0.0 && coverage < 1.0);
-  Rng rng(seed);
-  const std::int64_t n = static_cast<std::int64_t>(sample.size());
-  std::vector<double> means;
-  means.reserve(static_cast<std::size_t>(resamples));
-  for (int r = 0; r < resamples; ++r) {
-    double s = 0.0;
-    for (std::int64_t i = 0; i < n; ++i) {
-      s += sample[static_cast<std::size_t>(rng.uniform_int(0, n - 1))];
-    }
-    means.push_back(s / static_cast<double>(n));
-  }
-  return percentile_interval(mean_of(sample), std::move(means), coverage);
-}
-
-BootstrapCi bootstrap_paired_mean_diff_ci(const std::vector<double>& x,
-                                          const std::vector<double>& y, int resamples,
-                                          double coverage, std::uint64_t seed) {
-  ONES_EXPECT_MSG(x.size() == y.size() && !x.empty(), "paired samples required");
-  std::vector<double> diff(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) diff[i] = x[i] - y[i];
-  return bootstrap_mean_ci(diff, resamples, coverage, seed);
-}
-
 BootstrapCi bootstrap_relative_reduction_ci(const std::vector<double>& x,
                                             const std::vector<double>& y, int resamples,
                                             double coverage, std::uint64_t seed) {
   ONES_EXPECT_MSG(x.size() == y.size() && !x.empty(), "paired samples required");
   ONES_EXPECT(resamples > 0);
+  ONES_EXPECT(coverage > 0.0 && coverage < 1.0);
   Rng rng(seed);
   const std::int64_t n = static_cast<std::int64_t>(x.size());
   std::vector<double> stats_sample;

@@ -17,18 +17,6 @@ struct BootstrapCi {
   double coverage = 0.95;
 };
 
-/// Percentile-bootstrap CI for the mean of one sample.
-BootstrapCi bootstrap_mean_ci(const std::vector<double>& sample, int resamples = 2000,
-                              double coverage = 0.95, std::uint64_t seed = 1);
-
-/// Percentile-bootstrap CI for the *paired* mean difference mean(x - y).
-/// x and y must be aligned samples of equal length (same jobs under two
-/// schedulers).
-BootstrapCi bootstrap_paired_mean_diff_ci(const std::vector<double>& x,
-                                          const std::vector<double>& y,
-                                          int resamples = 2000, double coverage = 0.95,
-                                          std::uint64_t seed = 1);
-
 /// Percentile-bootstrap CI for the relative reduction
 /// (mean(y) - mean(x)) / mean(y), with (x, y) paired — "x is this many
 /// percent below y".

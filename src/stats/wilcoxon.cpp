@@ -84,37 +84,4 @@ WilcoxonResult wilcoxon_signed_rank(const std::vector<double>& x,
   return res;
 }
 
-WilcoxonResult wilcoxon_rank_sum(const std::vector<double>& x,
-                                 const std::vector<double>& y) {
-  ONES_EXPECT(!x.empty() && !y.empty());
-  std::vector<double> pooled;
-  pooled.reserve(x.size() + y.size());
-  pooled.insert(pooled.end(), x.begin(), x.end());
-  pooled.insert(pooled.end(), y.begin(), y.end());
-
-  const RankOutcome ro = midranks(pooled);
-  double rank_sum_x = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) rank_sum_x += ro.ranks[i];
-
-  const double n1 = static_cast<double>(x.size());
-  const double n2 = static_cast<double>(y.size());
-  const double u = rank_sum_x - n1 * (n1 + 1.0) / 2.0;
-
-  WilcoxonResult res;
-  res.statistic = u;
-  res.n_effective = pooled.size();
-
-  const double mean = n1 * n2 / 2.0;
-  const double n = n1 + n2;
-  double var = n1 * n2 / 12.0 * ((n + 1.0) - ro.tie_term / (n * (n - 1.0)));
-  if (var <= 0.0) return res;
-
-  const double cc = (u > mean) ? -0.5 : (u < mean ? 0.5 : 0.0);
-  res.z = (u - mean + cc) / std::sqrt(var);
-  res.p_greater = 1.0 - normal_cdf(res.z);
-  res.p_less = normal_cdf(res.z);
-  res.p_two_sided = std::min(1.0, 2.0 * std::min(res.p_greater, res.p_less));
-  return res;
-}
-
 }  // namespace ones::stats

@@ -145,9 +145,6 @@ class RunTraceWriter final : public TraceSink {
   /// never sees it, so merged host-profiler tracks cannot move the digest.
   void chrome_raw_event(const std::string& event_json);
 
-  const std::string& jsonl_path() const { return jsonl_file_.path(); }
-  const std::string& chrome_path() const { return chrome_file_.path(); }
-
  private:
   common::AtomicFile jsonl_file_;
   common::AtomicFile chrome_file_;

@@ -2,7 +2,11 @@
 // regression, host-time growth warns (unless escalated), profile spans are
 // warn-only, and malformed reports are rejected.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 
@@ -144,6 +148,28 @@ TEST(BenchDiff, FormatMentionsEveryFlaggedDelta) {
   const std::string text = bench_diff::format_diff(d);
   EXPECT_NE(text.find("REGRESSION metrics/avg_jct.ONES"), std::string::npos) << text;
   EXPECT_NE(text.find("WARN host/wall_seconds"), std::string::npos) << text;
+}
+
+TEST(BenchDiff, DeeplyNestedReportExitsTwo) {
+  // The CLI reports a nesting bomb as unreadable input (exit 2), not a crash.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "ones_bench_diff_nested";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path good = dir / "BENCH_good.json";
+  const fs::path bomb = dir / "BENCH_bomb.json";
+  std::ofstream(good) << report(100.0, 10.0, 50.0, 1000.0);
+  std::ofstream(bomb) << std::string(2'000'000, '[');
+  const auto exit_code = [](const fs::path& old_file, const fs::path& new_file) {
+    const std::string cmd = std::string(ONES_BENCH_DIFF_BIN) + " " + old_file.string() +
+                            " " + new_file.string() + " > /dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  EXPECT_EQ(exit_code(good, good), 0);
+  EXPECT_EQ(exit_code(good, bomb), 2);
+  EXPECT_EQ(exit_code(bomb, good), 2);
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Unit tests for src/cluster: topology, assignments (Eq. 1/2 mapping),
-// invariants (Eq. 4 style), and schedule diffing.
+// invariants (Eq. 4 style), schedule diffing and fragmentation statistics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "cluster/assignment.hpp"
+#include "cluster/fragmentation.hpp"
 #include "cluster/topology.hpp"
 
 namespace ones::cluster {
@@ -231,6 +232,52 @@ TEST(AssignmentDiff, GrowingWorkerSetIsReconfigured) {
 TEST(AssignmentDiff, RequiresSameClusterSize) {
   Assignment a(2), b(3);
   EXPECT_THROW(diff(a, b), std::logic_error);
+}
+
+TEST(Fragmentation, EmptyClusterIsOneBigBlock) {
+  const Topology topo(small_config());
+  Assignment a(topo.total_gpus());
+  const auto f = fragmentation_stats(a, topo);
+  EXPECT_EQ(f.idle_gpus, 16);
+  EXPECT_EQ(f.largest_colocated_block, 4);
+  EXPECT_EQ(f.nodes_with_idle, 4);
+  EXPECT_DOUBLE_EQ(f.scatter_index, 0.0);  // cannot be less scattered
+}
+
+TEST(Fragmentation, ScatteredHolesScoreHigh) {
+  const Topology topo(small_config());
+  Assignment a(topo.total_gpus());
+  // Fill everything except one GPU per node: 4 idle GPUs on 4 nodes (the
+  // worst case for a 4-GPU gang).
+  for (int g = 0; g < 16; ++g) {
+    if (g % 4 != 0) a.place(g, 1, 8);
+  }
+  const auto f = fragmentation_stats(a, topo);
+  EXPECT_EQ(f.idle_gpus, 4);
+  EXPECT_EQ(f.largest_colocated_block, 1);  // no colocated pair fits
+  EXPECT_EQ(f.nodes_with_idle, 4);
+  EXPECT_DOUBLE_EQ(f.scatter_index, 1.0);
+}
+
+TEST(Fragmentation, PackedHolesScoreLow) {
+  const Topology topo(small_config());
+  Assignment a(topo.total_gpus());
+  // Fill nodes 1..3 entirely: the 4 idle GPUs share node 0.
+  for (int g = 4; g < 16; ++g) a.place(g, 1, 8);
+  const auto f = fragmentation_stats(a, topo);
+  EXPECT_EQ(f.idle_gpus, 4);
+  EXPECT_EQ(f.largest_colocated_block, 4);  // a colocated 4-GPU gang fits
+  EXPECT_DOUBLE_EQ(f.scatter_index, 0.0);
+}
+
+TEST(Fragmentation, FullClusterHasNoIdle) {
+  const Topology topo(small_config());
+  Assignment a(topo.total_gpus());
+  for (int g = 0; g < 16; ++g) a.place(g, 1, 8);
+  const auto f = fragmentation_stats(a, topo);
+  EXPECT_EQ(f.idle_gpus, 0);
+  EXPECT_EQ(f.largest_colocated_block, 0);
+  EXPECT_DOUBLE_EQ(f.scatter_index, 0.0);
 }
 
 }  // namespace

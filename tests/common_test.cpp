@@ -1,5 +1,6 @@
 // Unit tests for src/common: RNG determinism and distribution sanity,
-// math utilities, the expectation macros and the crash-safe file writer.
+// math utilities, the expectation macros, the crash-safe file writer and the
+// JSON reader's handling of hostile input.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -14,8 +16,12 @@
 
 #include "common/atomic_file.hpp"
 #include "common/expect.hpp"
+#include "common/json.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
+#include "exp/result.hpp"
+#include "telemetry/exporters.hpp"
+#include "telemetry/registry.hpp"
 
 namespace ones {
 namespace {
@@ -271,6 +277,110 @@ TEST(AtomicFile, UncommittedOrFailedWritesLeaveNothing) {
   EXPECT_TRUE(entries(dir).empty());
   EXPECT_THROW(common::AtomicFile((dir / "missing" / "out.txt").string()), std::runtime_error);
   fs::remove_all(dir);
+}
+
+TEST(Json, NestingBeyondTheCapThrows) {
+  const auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const auto depth_cap = static_cast<std::size_t>(kMaxJsonDepth);
+  EXPECT_NO_THROW(parse_json(arrays(depth_cap)));
+  EXPECT_THROW(parse_json(arrays(depth_cap + 1)), std::runtime_error);
+  // Unterminated bombs, far deeper than any stack could recurse.
+  EXPECT_THROW(parse_json(std::string(2'000'000, '[')), std::runtime_error);
+  std::string objects;
+  for (int i = 0; i < 400'000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(parse_json(objects), std::runtime_error);
+}
+
+/// The seed corpus: one document of each kind the program reads back — a
+/// result-cache entry, a BENCH_*.json report and a .metrics.json export.
+std::vector<std::string> json_corpus() {
+  exp::RunResult result;
+  result.summary.scheduler = "ONES";
+  result.summary.jobs = 2;
+  result.summary.avg_jct = 123.25;
+  result.jcts = {100.5, 146.0};
+  result.exec_times = {90.0, 120.0};
+  result.queue_times = {10.5, 26.0};
+  result.jct_by_job = {{4, 100.5}, {9, 146.0}};
+  result.completed = 2;
+  result.events_fired = 77;
+  result.deployments = 5;
+
+  const std::string bench =
+      "{\"schema\":1,\"bench\":\"fig15_jct\",\"threads\":4,\"seeds\":1,"
+      "\"metrics\":{\"avg_jct.ONES\":1234.5,\"p90_jct.FIFO\":2.5e3},"
+      "\"host\":{\"wall_seconds\":12.75,\"peak_rss_mib\":100.0,"
+      "\"metrics\":{\"real_ns.Pop\":50}},"
+      "\"cache\":{\"hits\":0,\"misses\":3},"
+      "\"profile\":[{\"path\":\"decision\",\"count\":4,\"total_ns\":1000,\"self_ns\":1},"
+      "{\"path\":\"decision/apply\",\"count\":4,\"total_ns\":999,\"self_ns\":999}],"
+      "\"note\":\"tab\\t quote\\\" \\u00e9\",\"ok\":true,\"missing\":null}";
+
+  telemetry::MetricsRegistry registry;
+  registry.counter("energy_cluster_joules_total").add(5.0e6);
+  registry.gauge("cluster_frag_scatter_index").set(0.25);
+  registry.histogram("sched_decision_seconds", {0.001, 0.01, 0.1}).observe(0.005);
+  std::ostringstream metrics;
+  telemetry::write_json_summary(metrics, registry);
+
+  return {exp::result_to_json(result), bench, metrics.str()};
+}
+
+/// One random edit of `text`: a byte flip, a truncation, a duplicated span
+/// or a nesting bomb.
+void mutate(std::string& text, Rng& rng) {
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n)));
+  };
+  const std::size_t at = pick(text.size());
+  switch (rng.uniform_int(0, 3)) {
+    case 0:
+      if (!text.empty()) text[at % text.size()] = static_cast<char>(rng.uniform_int(0, 255));
+      break;
+    case 1: text.resize(at); break;
+    case 2: text.insert(pick(text.size()), text.substr(at, 1 + pick(64))); break;
+    default: {
+      // A nesting bomb, mostly right around the depth cap.
+      const auto cap = static_cast<std::size_t>(kMaxJsonDepth);
+      const std::size_t depth = rng.uniform_int(0, 3) == 0 ? 10'000 : cap - 2 + pick(4);
+      const std::string open = rng.uniform_int(0, 1) == 0 ? "[" : "{\"a\":";
+      std::string bomb;
+      for (std::size_t i = 0; i < depth; ++i) bomb += open;
+      text.insert(at, bomb);
+    }
+  }
+}
+
+TEST(JsonMutation, EveryMutantParsesOrThrowsRuntimeError) {
+  Rng rng(2021);
+  std::size_t parsed = 0, rejected = 0;
+  const auto corpus = json_corpus();
+  for (std::size_t doc = 0; doc < corpus.size(); ++doc) {
+    ASSERT_NO_THROW(parse_json(corpus[doc])) << doc;
+    for (int m = 0; m < 1000; ++m) {
+      std::string text = corpus[doc];
+      for (std::int64_t edits = rng.uniform_int(1, 3); edits > 0; --edits) mutate(text, rng);
+      try {
+        parse_json(text);
+        ++parsed;
+      } catch (const std::runtime_error&) {
+        ++rejected;
+      }
+      if (doc == 0) {
+        // A corrupt cache entry must be demotable: ResultCache::load catches
+        // std::runtime_error only.
+        try {
+          exp::result_from_json(text);
+        } catch (const std::runtime_error&) {
+        }
+      }
+    }
+  }
+  // Both outcomes occur, so the corpus and the edits are not degenerate.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

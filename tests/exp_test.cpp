@@ -754,5 +754,18 @@ TEST(ExpCache, DemotedCorruptEntryIsCounted) {
   EXPECT_EQ(cache.hits(), 0u);
 }
 
+TEST(ExpCache, DeeplyNestedEntryIsADemotion) {
+  // A nesting bomb in a cache file is a demoted miss, not a stack overflow.
+  TempCacheDir dir("ones_exp_nested_test");
+  ResultCache cache(dir.path());
+  const auto spec = tiny_spec();
+  fs::create_directories(dir.path());
+  std::ofstream(fs::path(dir.path()) / (cache_key(spec) + ".json"))
+      << std::string(2'000'000, '[');
+  EXPECT_FALSE(cache.load(spec).has_value());
+  EXPECT_EQ(cache.demotions(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+}
+
 }  // namespace
 }  // namespace ones::exp

@@ -32,13 +32,19 @@ TEST(Metrics, VectorsOnlyIncludeCompleted) {
   m.on_run_start(1, 0.0);
   m.on_run_end(1, 10.0, false);
   m.on_complete(1, 10.0);
-  EXPECT_EQ(m.submitted(), 2u);
+  m.on_submit(3, 0.0);  // aborted: finished, but never in the aggregates
+  m.on_run_start(3, 2.0);
+  m.on_run_end(3, 8.0, false);
+  m.on_abort(3, 8.0);
+  EXPECT_EQ(m.submitted(), 3u);
   EXPECT_EQ(m.completed(), 1u);
+  EXPECT_EQ(m.aborted(), 1u);
   EXPECT_EQ(m.jcts().size(), 1u);
   EXPECT_EQ(m.exec_times().size(), 1u);
   EXPECT_EQ(m.queue_times().size(), 1u);
   EXPECT_EQ(m.jct_by_job().count(1), 1u);
   EXPECT_EQ(m.jct_by_job().count(2), 0u);
+  EXPECT_EQ(m.jct_by_job().count(3), 0u);
 }
 
 TEST(Metrics, RejectsProtocolViolations) {
