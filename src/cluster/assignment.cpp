@@ -58,26 +58,96 @@ Assignment::JobStat* Assignment::find_stat(JobId job) {
   return const_cast<JobStat*>(std::as_const(*this).find_stat(job));
 }
 
+void Assignment::order_insert(JobId job, GpuId front) {
+  const auto at = std::lower_bound(fronts_.begin(), fronts_.end(), front) - fronts_.begin();
+  order_.insert(order_.begin() + at, job);
+  fronts_.insert(fronts_.begin() + at, front);
+}
+
+void Assignment::order_erase(JobId job) {
+  const auto at = std::find(order_.begin(), order_.end(), job) - order_.begin();
+  order_.erase(order_.begin() + at);
+  fronts_.erase(fronts_.begin() + at);
+}
+
 void Assignment::attach(JobId job, GpuId gpu, int local_batch) {
   JobStat* stat = find_stat(job);
-  if (stat == nullptr) {
+  const bool fresh = stat == nullptr;
+  if (fresh) {
     const auto it = std::lower_bound(
         jobs_.begin(), jobs_.end(), job,
         [](const JobStat& s, JobId j) { return s.job < j; });
-    stat = &*jobs_.insert(it, JobStat{job, 0, {}});
+    stat = &*jobs_.insert(it, JobStat{job, 0, static_cast<int>(gpus_.size()), 0});
   }
-  stat->global_batch += local_batch;
-  insert_sorted(stat->gpus, gpu);
+  stat->batch += local_batch;
+  // Only the last segment grows in place; any other moves to the end. Dead
+  // entries are dropped first once they would push gpus_ past twice the
+  // number of non-idle GPUs (an upper bound on the live entries).
+  const auto count = static_cast<std::size_t>(stat->count);
+  const auto is_last = [&] {
+    return static_cast<std::size_t>(stat->begin) + count == gpus_.size();
+  };
+  if (gpus_.size() + (is_last() ? 1 : count + 1) > 2 * (slots_.size() - idle_.size())) {
+    compact();
+  }
+  if (!is_last()) {
+    const auto from = static_cast<std::size_t>(stat->begin);
+    stat->begin = static_cast<int>(gpus_.size());
+    gpus_.reserve(gpus_.size() + count + 1);  // no reallocation while copying
+    for (std::size_t i = 0; i < count; ++i) gpus_.push_back(gpus_[from + i]);
+  }
+  // Append, then rotate into place: the segment stays ascending.
+  gpus_.push_back(gpu);
+  const auto first = gpus_.begin() + stat->begin;
+  std::rotate(std::upper_bound(first, gpus_.end() - 1, gpu), gpus_.end() - 1, gpus_.end());
+  ++stat->count;
+  if (fresh) {
+    order_insert(job, gpu);
+  } else if (*first == gpu) {  // a new lowest GPU moves the job in order_
+    order_erase(job);
+    order_insert(job, gpu);
+  }
 }
 
 void Assignment::detach(JobId job, GpuId gpu, int local_batch) {
   JobStat* stat = find_stat(job);
   ONES_EXPECT_MSG(stat != nullptr, "job index entry missing");
-  stat->global_batch -= local_batch;
-  erase_sorted(stat->gpus, gpu);
-  if (stat->gpus.empty()) {
-    jobs_.erase(jobs_.begin() + (stat - jobs_.data()));
+  const auto first = gpus_.begin() + stat->begin;
+  const auto last = first + stat->count;
+  const auto it = std::lower_bound(first, last, gpu);
+  ONES_EXPECT_MSG(it != last && *it == gpu, "index entry missing");
+  if (stat->count == 1) {
+    drop_stat(stat);
+    return;
   }
+  const bool was_front = it == first;
+  stat->batch -= local_batch;
+  std::copy(it + 1, last, it);
+  --stat->count;
+  if (last == gpus_.end()) gpus_.pop_back();
+  if (was_front) {
+    order_erase(job);
+    order_insert(job, *first);
+  }
+}
+
+void Assignment::drop_stat(const JobStat* stat) {
+  if (static_cast<std::size_t>(stat->begin + stat->count) == gpus_.size()) {
+    gpus_.resize(static_cast<std::size_t>(stat->begin));
+  }
+  order_erase(stat->job);
+  jobs_.erase(jobs_.begin() + (stat - jobs_.data()));
+}
+
+void Assignment::compact() {
+  std::vector<GpuId> packed;
+  packed.reserve(slots_.size());
+  for (JobStat& s : jobs_) {
+    const auto seg = segment(s);
+    s.begin = static_cast<int>(packed.size());
+    packed.insert(packed.end(), seg.begin(), seg.end());
+  }
+  gpus_ = std::move(packed);
 }
 
 void Assignment::place(GpuId gpu, JobId job, int local_batch) {
@@ -89,7 +159,7 @@ void Assignment::place(GpuId gpu, JobId job, int local_batch) {
   if (s.occupied()) {
     if (s.job == job) {
       // Same job, possibly a new batch: only the batch sum moves.
-      find_stat(job)->global_batch += local_batch - s.local_batch;
+      find_stat(job)->batch += local_batch - s.local_batch;
       s.local_batch = local_batch;
       return;
     }
@@ -113,9 +183,9 @@ void Assignment::clear(GpuId gpu) {
 int Assignment::evict(JobId job) {
   const JobStat* stat = find_stat(job);
   if (stat == nullptr) return 0;
-  const int freed = static_cast<int>(stat->gpus.size());
+  const int freed = stat->count;
   const std::size_t old_idle = idle_.size();
-  for (const GpuId g : stat->gpus) {
+  for (const GpuId g : segment(*stat)) {
     Slot& s = slots_[static_cast<std::size_t>(g)];
     if (s.healthy()) idle_.push_back(g);
     s = Slot{kInvalidJob, 0, s.health};
@@ -124,7 +194,7 @@ int Assignment::evict(JobId job) {
   std::inplace_merge(idle_.begin(),
                      idle_.begin() + static_cast<std::ptrdiff_t>(old_idle),
                      idle_.end());
-  jobs_.erase(jobs_.begin() + (stat - jobs_.data()));
+  drop_stat(stat);
   return freed;
 }
 
@@ -191,6 +261,9 @@ Assignment Assignment::from_slots(std::vector<Slot> slots) {
   out.idle_ = std::move(idx.idle);
   out.down_ = std::move(idx.down);
   out.jobs_ = std::move(idx.jobs);
+  out.gpus_ = std::move(idx.gpus);
+  out.order_ = std::move(idx.order);
+  out.fronts_ = std::move(idx.fronts);
   return out;
 }
 
@@ -199,62 +272,45 @@ void Assignment::set_local_batch(GpuId gpu, int local_batch) {
   ONES_EXPECT(local_batch >= 1);
   auto& s = slots_[static_cast<std::size_t>(gpu)];
   ONES_EXPECT_MSG(s.occupied(), "cannot set a batch size on an idle GPU");
-  find_stat(s.job)->global_batch += local_batch - s.local_batch;
+  find_stat(s.job)->batch += local_batch - s.local_batch;
   s.local_batch = local_batch;
 }
 
 int Assignment::global_batch(JobId job) const {
   const JobStat* stat = find_stat(job);
-  return stat != nullptr ? stat->global_batch : 0;
+  return stat != nullptr ? stat->batch : 0;
 }
 
 int Assignment::gpu_count(JobId job) const {
   const JobStat* stat = find_stat(job);
-  return stat != nullptr ? static_cast<int>(stat->gpus.size()) : 0;
+  return stat != nullptr ? stat->count : 0;
 }
 
 std::vector<GpuId> Assignment::gpus_of(JobId job) const {
-  const JobStat* stat = find_stat(job);
-  return stat != nullptr ? stat->gpus : std::vector<GpuId>{};
+  const auto gpus = worker_gpus(job);
+  return {gpus.begin(), gpus.end()};
 }
 
 std::span<const GpuId> Assignment::worker_gpus(JobId job) const {
   const JobStat* stat = find_stat(job);
-  return stat != nullptr ? std::span<const GpuId>(stat->gpus) : std::span<const GpuId>{};
+  return stat != nullptr ? segment(*stat) : std::span<const GpuId>{};
 }
 
 JobPlacement Assignment::placement(JobId job) const {
   const JobStat* stat = find_stat(job);
   if (stat == nullptr) return {};
-  JobPlacement p{.workers = static_cast<int>(stat->gpus.size()),
-                 .global_batch = stat->global_batch,
+  const auto gpus = segment(*stat);
+  JobPlacement p{.workers = stat->count,
+                 .global_batch = stat->batch,
                  .max_local_batch = 0,
-                 .first_gpu = stat->gpus.front(),
-                 .last_gpu = stat->gpus.back()};
-  for (const GpuId g : stat->gpus) {
+                 .first_gpu = gpus.front(),
+                 .last_gpu = gpus.back()};
+  for (const GpuId g : gpus) {
     p.max_local_batch =
         std::max(p.max_local_batch, slots_[static_cast<std::size_t>(g)].local_batch);
   }
   return p;
 }
-
-std::vector<JobId> Assignment::running_jobs() const {
-  // First-occurrence order over the slot array == ascending order of each
-  // job's lowest-numbered GPU (two jobs cannot share a GPU).
-  std::vector<const JobStat*> by_front;
-  by_front.reserve(jobs_.size());
-  for (const JobStat& s : jobs_) by_front.push_back(&s);
-  std::sort(by_front.begin(), by_front.end(),
-            [](const JobStat* a, const JobStat* b) {
-              return a->gpus.front() < b->gpus.front();
-            });
-  std::vector<JobId> out;
-  out.reserve(by_front.size());
-  for (const JobStat* s : by_front) out.push_back(s->job);
-  return out;
-}
-
-std::vector<GpuId> Assignment::idle_gpus() const { return idle_; }
 
 int Assignment::idle_count() const { return static_cast<int>(idle_.size()); }
 
@@ -263,14 +319,26 @@ bool Assignment::same_placement(const Assignment& other, JobId job) const {
   const JobStat* b = other.find_stat(job);
   if ((a == nullptr) != (b == nullptr)) return false;
   if (a == nullptr) return true;
-  if (a->gpus != b->gpus) return false;
-  for (const GpuId g : a->gpus) {
+  const auto gpus = segment(*a);
+  if (!std::ranges::equal(gpus, other.segment(*b))) return false;
+  for (const GpuId g : gpus) {
     if (slots_[static_cast<std::size_t>(g)].local_batch !=
         other.slots_[static_cast<std::size_t>(g)].local_batch) {
       return false;
     }
   }
   return true;
+}
+
+std::uint64_t Assignment::hash() const {
+  // FNV-1a over 64-bit words rather than bytes: one multiply per word.
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Slot& s : slots_) {
+    h = (h ^ static_cast<std::uint64_t>(s.job)) * 0x100000001b3ULL;
+    h = (h ^ (static_cast<std::uint64_t>(s.local_batch) << 2 |
+              static_cast<std::uint64_t>(s.health))) * 0x100000001b3ULL;
+  }
+  return h;
 }
 
 std::string Assignment::to_string() const {
@@ -303,23 +371,42 @@ void Assignment::check_invariants() const {
 
 Assignment::Indexes Assignment::index_slots(const std::vector<Slot>& slots) {
   Indexes out;
+  std::vector<std::pair<JobId, GpuId>> workers;  // (job, GPU) of every occupied slot
+  workers.reserve(slots.size());
   for (std::size_t i = 0; i < slots.size(); ++i) {
     const GpuId g = static_cast<GpuId>(i);
     const Slot& s = slots[i];
     if (!s.healthy()) out.down.push_back(g);
-    if (!s.occupied()) {
-      if (s.healthy()) out.idle.push_back(g);
-      continue;
+    if (s.occupied()) {
+      workers.emplace_back(s.job, g);
+    } else if (s.healthy()) {
+      out.idle.push_back(g);
     }
-    const auto it = std::lower_bound(
-        out.jobs.begin(), out.jobs.end(), s.job,
-        [](const JobStat& a, JobId j) { return a.job < j; });
-    if (it == out.jobs.end() || it->job != s.job) {
-      out.jobs.insert(it, JobStat{s.job, s.local_batch, {g}});
-    } else {
-      it->global_batch += s.local_batch;
-      it->gpus.push_back(g);  // g ascending: stays sorted
+  }
+  // Sorting groups each job's GPUs, ascending, with the jobs in JobId order.
+  std::sort(workers.begin(), workers.end());
+  out.gpus.reserve(workers.size());
+  for (const auto& [job, g] : workers) {
+    if (out.jobs.empty() || out.jobs.back().job != job) {
+      out.jobs.push_back(JobStat{job, 0, static_cast<int>(out.gpus.size()), 0});
     }
+    JobStat& stat = out.jobs.back();
+    stat.batch += slots[static_cast<std::size_t>(g)].local_batch;
+    ++stat.count;
+    out.gpus.push_back(g);
+  }
+  // First-occurrence order: the jobs by their lowest GPU.
+  std::vector<std::pair<GpuId, JobId>> by_front;
+  by_front.reserve(out.jobs.size());
+  for (const JobStat& stat : out.jobs) {
+    by_front.emplace_back(out.gpus[static_cast<std::size_t>(stat.begin)], stat.job);
+  }
+  std::sort(by_front.begin(), by_front.end());
+  out.order.reserve(by_front.size());
+  out.fronts.reserve(by_front.size());
+  for (const auto& [front, job] : by_front) {
+    out.fronts.push_back(front);
+    out.order.push_back(job);
   }
   return out;
 }
@@ -330,39 +417,40 @@ void Assignment::audit_indexes() const {
   ONES_EXPECT_MSG(fresh.down == down_, "down-GPU index diverged from the slot array");
   ONES_EXPECT_MSG(fresh.jobs.size() == jobs_.size(),
                   "job index has the wrong number of entries");
+  ONES_EXPECT_MSG(gpus_.size() <= 2 * slots_.size(),
+                  "job GPU lists hold too many dead entries");
   for (std::size_t i = 0; i < fresh.jobs.size(); ++i) {
-    ONES_EXPECT_MSG(fresh.jobs[i].job == jobs_[i].job, "job index diverged: wrong job");
-    ONES_EXPECT_MSG(fresh.jobs[i].global_batch == jobs_[i].global_batch,
-                    "job index diverged: stale global batch");
-    ONES_EXPECT_MSG(fresh.jobs[i].gpus == jobs_[i].gpus,
+    const JobStat& want = fresh.jobs[i];
+    const JobStat& have = jobs_[i];
+    ONES_EXPECT_MSG(want.job == have.job, "job index diverged: wrong job");
+    ONES_EXPECT_MSG(want.batch == have.batch, "job index diverged: stale global batch");
+    ONES_EXPECT_MSG(have.begin >= 0 && have.count >= 0 &&
+                        static_cast<std::size_t>(have.begin + have.count) <= gpus_.size(),
+                    "job index diverged: GPU list out of bounds");
+    ONES_EXPECT_MSG(std::ranges::equal(segment(have), std::span<const GpuId>(fresh.gpus).subspan(
+                                                          static_cast<std::size_t>(want.begin),
+                                                          static_cast<std::size_t>(want.count))),
                     "job index diverged: stale GPU list");
   }
+  ONES_EXPECT_MSG(fresh.order == order_ && fresh.fronts == fronts_,
+                  "first-occurrence job order diverged");
 }
 
 AssignmentDelta diff(const Assignment& prev, const Assignment& next) {
   ONES_EXPECT(prev.num_gpus() == next.num_gpus());
   AssignmentDelta d;
-  // Membership tests against id-sorted copies; output order still comes from
-  // running_jobs() (first-occurrence), exactly as before.
-  std::vector<JobId> prev_ids = prev.running_jobs();
-  std::vector<JobId> next_ids = next.running_jobs();
-  std::vector<JobId> prev_sorted = prev_ids;
-  std::vector<JobId> next_sorted = next_ids;
-  std::sort(prev_sorted.begin(), prev_sorted.end());
-  std::sort(next_sorted.begin(), next_sorted.end());
-
-  for (const JobId j : next_ids) {
-    if (!std::binary_search(prev_sorted.begin(), prev_sorted.end(), j)) {
+  // Output order comes from running_jobs() (first-occurrence); membership is
+  // one job-index lookup.
+  for (const JobId j : next.running_jobs()) {
+    if (prev.gpu_count(j) == 0) {
       d.started.push_back(j);
       continue;
     }
     // Same job on both sides: did its placement or batches change?
     (prev.same_placement(next, j) ? d.unchanged : d.reconfigured).push_back(j);
   }
-  for (const JobId j : prev_ids) {
-    if (!std::binary_search(next_sorted.begin(), next_sorted.end(), j)) {
-      d.stopped.push_back(j);
-    }
+  for (const JobId j : prev.running_jobs()) {
+    if (next.gpu_count(j) == 0) d.stopped.push_back(j);
   }
   return d;
 }

@@ -7,12 +7,14 @@
 // Assignments directly.
 //
 // The per-GPU slot array stays the source of truth, but every derived view
-// (idle GPUs, per-job GPU lists, global batches) is answered from indexes
-// maintained incrementally by the mutators (DESIGN.md §12). The evolutionary
-// search calls idle_gpus / gpus_of / global_batch inside its per-candidate
-// loops, so O(G) rescans there are what made 10k-GPU clusters infeasible.
-// The indexes are flat sorted vectors — no unordered containers, so
-// iteration order is deterministic by construction (tools/ones_lint R2).
+// (idle GPUs, per-job GPU lists, global batches, first-occurrence job order)
+// is answered from indexes maintained incrementally by the mutators
+// (DESIGN.md §12). The evolutionary search calls idle_gpus / worker_gpus /
+// global_batch inside its per-candidate loops, so O(G) rescans there are
+// what made 10k-GPU clusters infeasible. The indexes are flat vectors — no
+// unordered containers, so iteration order is deterministic by construction
+// (tools/ones_lint R2) — and copying an Assignment copies a fixed number of
+// them, whatever the number of jobs.
 #pragma once
 
 #include <cstdint>
@@ -118,11 +120,14 @@ class Assignment {
   /// Worker count, global batch, straggler batch and GPU range of a job in
   /// O(c_j), with no allocation.
   JobPlacement placement(JobId job) const;
-  /// Jobs with at least one worker, in first-occurrence order.
-  std::vector<JobId> running_jobs() const;
-  /// Healthy GPUs with no worker (down GPUs are never idle: schedulers read
-  /// capacity exclusively through this index, which is what masks them).
-  std::vector<GpuId> idle_gpus() const;
+  /// Jobs with at least one worker, in first-occurrence order. A view into
+  /// the maintained order, valid until the next mutation: copy it before a
+  /// loop that places, clears or evicts.
+  const std::vector<JobId>& running_jobs() const { return order_; }
+  /// Healthy GPUs with no worker, ascending (down GPUs are never idle:
+  /// schedulers read capacity exclusively through this index, which is what
+  /// masks them). Valid until the next mutation.
+  const std::vector<GpuId>& idle_gpus() const { return idle_; }
   int idle_count() const;
 
   /// True iff `job` occupies the same GPUs with the same local batches in
@@ -135,6 +140,11 @@ class Assignment {
   /// are a pure function of the slots, so they never need comparing.
   bool operator==(const Assignment& other) const { return slots_ == other.slots_; }
 
+  /// A 64-bit hash of the slot array (job, local batch and health of every
+  /// GPU): equal schedules hash equally, so a hash match is only a hint that
+  /// operator== confirms.
+  std::uint64_t hash() const;
+
   /// Compact human-readable rendering (for logs and examples):
   /// "[1:256 1:256 - 7:512]".
   std::string to_string() const;
@@ -144,25 +154,31 @@ class Assignment {
   void check_invariants() const;
 
   /// Audit mode (DESIGN.md §12): recompute every incremental index from the
-  /// slot array and throw (std::logic_error via ONES_EXPECT) on any
-  /// divergence. O(G log G); meant for tests and the driver's
+  /// slot array — idle and down GPUs, each job's batch and GPU list, and the
+  /// first-occurrence order — and throw (std::logic_error via ONES_EXPECT) on
+  /// any divergence. O(G log G); meant for tests and the driver's
   /// `audit_incremental` flag, not for hot paths.
   void audit_indexes() const;
 
  private:
-  /// Per-job index entry. `gpus` is ascending; `global_batch` is the sum of
-  /// the member slots' local batches.
+  /// Per-job index entry: the job's GPUs are gpus_[begin, begin + count),
+  /// ascending, and `batch` is the sum of their local batches (B_j).
   struct JobStat {
     JobId job = kInvalidJob;
-    int global_batch = 0;
-    std::vector<GpuId> gpus;
+    int batch = 0;
+    int begin = 0;
+    int count = 0;
   };
 
-  /// The three indexes recomputed from a slot array (audit and from_slots).
+  /// The indexes recomputed from a slot array (audit and from_slots), with
+  /// the GPU lists packed in JobId order.
   struct Indexes {
     std::vector<GpuId> idle;
     std::vector<GpuId> down;
     std::vector<JobStat> jobs;
+    std::vector<GpuId> gpus;
+    std::vector<JobId> order;
+    std::vector<GpuId> fronts;
   };
   static Indexes index_slots(const std::vector<Slot>& slots);
 
@@ -170,16 +186,35 @@ class Assignment {
   /// jobs_ is sorted by JobId).
   const JobStat* find_stat(JobId job) const;
   JobStat* find_stat(JobId job);
+  std::span<const GpuId> segment(const JobStat& stat) const {
+    return {gpus_.data() + stat.begin, static_cast<std::size_t>(stat.count)};
+  }
   /// Add `gpu` (running `local_batch`) to the job's stat, creating it if the
   /// job was not placed anywhere.
   void attach(JobId job, GpuId gpu, int local_batch);
   /// Remove `gpu` from the job's stat, dropping the stat when it empties.
   void detach(JobId job, GpuId gpu, int local_batch);
+  /// Drop a placed job's stat, its GPU list and its order_ entry.
+  void drop_stat(const JobStat* stat);
+  /// Insert a placed job, whose lowest GPU is `front`, into order_.
+  void order_insert(JobId job, GpuId front);
+  /// Remove a job from order_.
+  void order_erase(JobId job);
+  /// Rewrite gpus_ without dead entries, segments in JobId order.
+  void compact();
 
   std::vector<Slot> slots_;
   std::vector<GpuId> idle_;     ///< ascending; healthy AND unoccupied only
   std::vector<GpuId> down_;     ///< ascending; health != Healthy
   std::vector<JobStat> jobs_;   ///< ascending by JobId
+  /// Every job's GPU list, one segment per JobStat. A segment that must grow
+  /// and is not last moves to the end, leaving dead entries behind; compact()
+  /// drops them before the vector would pass twice the non-idle GPU count,
+  /// so each mutation costs O(c_j) amortized and the vector stays O(placed
+  /// workers) long on a mostly idle cluster.
+  std::vector<GpuId> gpus_;
+  std::vector<JobId> order_;    ///< placed jobs, ascending by lowest GPU
+  std::vector<GpuId> fronts_;   ///< lowest GPU of each order_ job (ascending)
 };
 
 /// Difference between two schedules, used to charge scaling costs only to

@@ -102,14 +102,15 @@ double Evolution::score(const cluster::Assignment& candidate, const EvolutionCon
   double total = 0.0;
   const bool energy_aware =
       config_.lambda_energy != 0.0 && ctx.state->power != nullptr;
-  const std::vector<JobId> running = candidate.running_jobs();
+  const std::vector<JobId>& running = candidate.running_jobs();
   for (JobId j : running) {
     const JobEntry& e = ctx.entry(j);
     const sched::JobView& v = *e.view;
-    const double x = ctx.state->oracle->estimate_placed_sps(v, candidate);
+    const cluster::JobPlacement p = candidate.placement(j);
+    const double x = ctx.state->oracle->estimate_placed_sps(v, p);
     const double rem =
         remaining_samples(v, rho[static_cast<std::size_t>(&e - ctx.jobs.data())]);
-    total += rem * static_cast<double>(candidate.gpu_count(j)) / x;
+    total += rem * static_cast<double>(p.workers) / x;
     if (energy_aware) {
       // Predicted joules to finish under this placement, in TDP-GPU-second
       // units so lambda trades them against the SRUF GPU-seconds above.
@@ -141,32 +142,61 @@ double Evolution::score(const cluster::Assignment& candidate, const EvolutionCon
   return total;
 }
 
+std::vector<double> Evolution::score_all(const std::vector<cluster::Assignment>& cands,
+                                         const EvolutionContext& ctx,
+                                         const std::vector<double>& rho,
+                                         std::size_t* scored) const {
+  // Sorting (hash, index) pairs puts the copies of one slot array next to
+  // each other, first copy first; operator== confirms every hash match, so a
+  // collision costs one extra score, never a wrong one.
+  std::vector<std::pair<std::uint64_t, std::size_t>> keyed(cands.size());
+  for (std::size_t i = 0; i < cands.size(); ++i) keyed[i] = {cands[i].hash(), i};
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<double> scores(cands.size());
+  std::size_t distinct = 0;
+  std::size_t run = 0;  // first position of the current hash value
+  for (std::size_t a = 0; a < keyed.size(); ++a) {
+    if (keyed[a].first != keyed[run].first) run = a;
+    const std::size_t i = keyed[a].second;
+    std::size_t b = run;
+    while (b < a && !(cands[keyed[b].second] == cands[i])) ++b;
+    if (b < a) {
+      scores[i] = scores[keyed[b].second];
+    } else {
+      scores[i] = score(cands[i], ctx, rho);
+      ++distinct;
+    }
+  }
+  if (scored != nullptr) *scored = distinct;
+  return scores;
+}
+
 void Evolution::clamp_job(cluster::Assignment& candidate, const JobEntry& entry) {
   const JobId job = entry.id;
-  auto gpus = candidate.gpus_of(job);
+  auto gpus = candidate.worker_gpus(job);
   if (gpus.empty()) return;
-  const int r_limit = entry.limit;
-  const bool warm = entry.warm;
-
-  int target_c = static_cast<int>(gpus.size());
-  if (!warm) target_c = 1;                       // Start policy: one GPU
-  target_c = std::min(target_c, r_limit);        // every worker needs a sample
-  target_c = std::max(target_c, 1);
-  while (static_cast<int>(gpus.size()) > target_c) {
-    candidate.clear(gpus.back());
-    gpus.pop_back();
+  // Start policy: one GPU until warm; every worker needs a sample.
+  const int c = static_cast<int>(gpus.size());
+  const int target_c = std::max(1, std::min(entry.warm ? c : 1, entry.limit));
+  if (c > target_c) {
+    for (int k = c; k > target_c; --k) candidate.clear(candidate.worker_gpus(job).back());
+    gpus = candidate.worker_gpus(job);
   }
 
-  const int max_b = std::min(r_limit, target_c * entry.view->profile->max_local_batch);
-  // Even re-split (repairs crossover children with lopsided inherited genes).
-  sched::place_job_even(candidate, job, gpus,
-                        std::clamp(candidate.global_batch(job), target_c, max_b));
+  const int max_b = std::min(entry.limit, target_c * entry.view->profile->max_local_batch);
+  const int batch = std::clamp(candidate.global_batch(job), target_c, max_b);
+  // Even re-split (repairs crossover children with lopsided inherited genes),
+  // unless the job already holds it.
+  if (!sched::holds_even_split(candidate, job, gpus, batch)) {
+    sched::place_job_even(candidate, job, gpus, batch);
+  }
 }
 
 void Evolution::repair(cluster::Assignment& candidate, const EvolutionContext& ctx) {
   // One pass: evicting or clamping a job touches only that job's GPUs, so
   // the order of the two never matters.
-  for (JobId j : candidate.running_jobs()) {
+  const std::vector<JobId> running = candidate.running_jobs();
+  for (JobId j : running) {
     const JobEntry* e = ctx.find(j);
     if (e == nullptr || e->view->status == sched::JobStatus::Completed) {
       candidate.evict(j);
@@ -177,82 +207,121 @@ void Evolution::repair(cluster::Assignment& candidate, const EvolutionContext& c
 }
 
 void Evolution::fill_idle(cluster::Assignment& candidate, const EvolutionContext& ctx) {
+  if (candidate.idle_count() == 0) return;
+  const sched::ThroughputOracle& oracle = *ctx.state->oracle;
+  // One option row per job of ctx.jobs. A row depends on its job's own
+  // placement and, through the `c + idle` caps, on the idle count. Each
+  // placement below grows one job and shrinks the idle pool, so only that
+  // job's row and the rows whose cap binds are recomputed.
+  struct Row {
+    bool placed = false;  ///< in the candidate when fill_idle started
+    bool stale = true;
+    int min_idle = 0;     ///< below this idle count a cap binds: recompute
+    double up = 0.0;      ///< scale-up weight; 0 = no such option
+    double spread = 0.0;  ///< spread weight; 0 = no such option
+  };
+  std::vector<Row> rows(ctx.jobs.size());
+  // Rows of the candidate's running jobs, in first-occurrence order.
+  std::vector<std::size_t> running_rows;
+  running_rows.reserve(ctx.jobs.size());
+  for (JobId j : candidate.running_jobs()) {
+    const auto i = static_cast<std::size_t>(&ctx.entry(j) - ctx.jobs.data());
+    rows[i].placed = true;
+    running_rows.push_back(i);
+  }
+
+  const auto compute = [&](Row& row, const JobEntry& e, int idle) {
+    const sched::JobView& v = *e.view;
+    const cluster::JobPlacement p = candidate.placement(e.id);
+    const int b = p.global_batch;
+    const int c = p.workers;
+    const double y = std::max(e.expected_remaining, 1.0);
+    // Scale-up: a job whose limit R still allows more batch gains
+    // floor(R*c/B) - c more GPUs (Figure 7's utilization-gain sampling).
+    const int local = std::max(1, b / c);
+    const int up_free = b < e.limit ? static_cast<int>(e.limit / local) : c;
+    // Spread: when batch limits bind, idle GPUs can still speed a job up
+    // by spreading its (fixed) batch over more workers — idle GPUs have no
+    // opportunity cost, and Eq. 4 wants the cluster saturated.
+    const int spread_free = std::min(2 * c, b);
+    const int up_c = std::min(up_free, c + idle);
+    const int spread_c = std::min(spread_free, c + idle);
+    row = Row{.stale = false, .min_idle = std::max(up_free, spread_free) - c};
+    if (up_c <= c && spread_c <= c) return;
+
+    const double x1 = oracle.estimate_placed_sps(v, p);
+    if (up_c > c) {
+      const int b2 = std::min(e.limit, local * up_c);
+      const double x2 = oracle.estimate_sps(v, up_c, b2, oracle.can_colocate(up_c));
+      const double gain = y * (static_cast<double>(c) / x1 - static_cast<double>(up_c) / x2);
+      row.up = std::max(gain, 1e-6);
+    }
+    if (spread_c > c) {
+      const double x2 = oracle.estimate_sps(v, spread_c, b, oracle.can_colocate(spread_c));
+      if (x2 > x1 * 1.02) {  // else not worth the extra workers
+        const double gain = y * (1.0 / x1 - 1.0 / x2);
+        row.spread = std::max(gain, 1e-6);
+      }
+    }
+  };
+
   struct Action {
     bool resume = false;
-    const JobEntry* job = nullptr;
+    std::size_t row = 0;
   };
-  const sched::ThroughputOracle& oracle = *ctx.state->oracle;
+  // Resume options lead the list: active jobs absent from this candidate,
+  // in arrival order, each offered until it resumes.
   std::vector<Action> actions;
   std::vector<double> weights;
+  for (const std::size_t i : ctx.by_arrival) {
+    if (rows[i].placed) continue;
+    actions.push_back({true, i});
+    weights.push_back(std::max(ctx.jobs[i].expected_remaining, 1.0));
+  }
+  std::size_t resumes = actions.size();
   std::vector<Action> spreads;
   std::vector<double> spread_weights;
-
   for (;;) {
     const int idle = candidate.idle_count();
     if (idle == 0) return;
-    actions.clear();
-    weights.clear();
+    actions.resize(resumes);
+    weights.resize(resumes);
     spreads.clear();
     spread_weights.clear();
 
-    // Resume options: active jobs absent from this candidate start on one GPU.
-    for (const std::size_t i : ctx.by_arrival) {
-      const JobEntry& e = ctx.jobs[i];
-      if (candidate.gpu_count(e.id) > 0) continue;
-      actions.push_back({true, &e});
-      weights.push_back(std::max(e.expected_remaining, 1.0));
-    }
-
-    // One pass over the running jobs collects both growth options; spread
-    // options are appended after all scale-up options, so the weighted draw
-    // always lists resume, then scale-up, then spread options.
-    for (JobId j : candidate.running_jobs()) {
-      const JobEntry& e = ctx.entry(j);
-      if (!e.warm) continue;
-      const sched::JobView& v = *e.view;
-      const int b = candidate.global_batch(j);
-      const int c = candidate.gpu_count(j);
-      const double y = std::max(e.expected_remaining, 1.0);
-      // Scale-up: a job whose limit R still allows more batch gains
-      // floor(R*c/B) - c more GPUs (Figure 7's utilization-gain sampling).
-      const int local = std::max(1, b / c);
-      const int up_c = b < e.limit ? std::min(static_cast<int>(e.limit / local), c + idle) : c;
-      // Spread: when batch limits bind, idle GPUs can still speed a job up
-      // by spreading its (fixed) batch over more workers — idle GPUs have no
-      // opportunity cost, and Eq. 4 wants the cluster saturated.
-      const int spread_c = std::min({2 * c, b, c + idle});
-      if (up_c <= c && spread_c <= c) continue;
-
-      const double x1 = oracle.estimate_placed_sps(v, candidate);
-      if (up_c > c) {
-        const int b2 = std::min(e.limit, local * up_c);
-        const double x2 = oracle.estimate_sps(v, up_c, b2, oracle.can_colocate(up_c));
-        const double gain =
-            y * (static_cast<double>(c) / x1 - static_cast<double>(up_c) / x2);
-        actions.push_back({false, &e});
-        weights.push_back(std::max(gain, 1e-6));
+    // Growth options of the warm running jobs: the weighted draw always
+    // lists resume, then scale-up, then spread options, each in order.
+    for (const std::size_t i : running_rows) {
+      if (!ctx.jobs[i].warm) continue;
+      Row& row = rows[i];
+      if (row.stale || idle < row.min_idle) compute(row, ctx.jobs[i], idle);
+      if (row.up > 0.0) {
+        actions.push_back({false, i});
+        weights.push_back(row.up);
       }
-      if (spread_c > c) {
-        const double x2 = oracle.estimate_sps(v, spread_c, b, oracle.can_colocate(spread_c));
-        if (x2 > x1 * 1.02) {  // else not worth the extra workers
-          const double gain = y * (1.0 / x1 - 1.0 / x2);
-          spreads.push_back({false, &e});
-          spread_weights.push_back(std::max(gain, 1e-6));
-        }
+      if (row.spread > 0.0) {
+        spreads.push_back({false, i});
+        spread_weights.push_back(row.spread);
       }
     }
     actions.insert(actions.end(), spreads.begin(), spreads.end());
     weights.insert(weights.end(), spread_weights.begin(), spread_weights.end());
 
     if (actions.empty()) return;  // nothing can use the idle GPUs
-    const Action act = actions[rng_.weighted_index(weights)];
-    const JobEntry& e = *act.job;
+    const std::size_t pick = rng_.weighted_index(weights);
+    const Action act = actions[pick];
+    const JobEntry& e = ctx.jobs[act.row];
     const JobId job = e.id;
-    const std::vector<GpuId> idle_gpus = candidate.idle_gpus();
-
+    rows[act.row].stale = true;
+    // Placing a worker on the lowest idle GPU removes it from the pool, so
+    // successive placements walk the idle GPUs in ascending order.
     if (act.resume) {
-      candidate.place(idle_gpus.front(), job, start_batch(e));
+      actions.erase(actions.begin() + static_cast<std::ptrdiff_t>(pick));
+      weights.erase(weights.begin() + static_cast<std::ptrdiff_t>(pick));
+      --resumes;
+      candidate.place(candidate.idle_gpus().front(), job, start_batch(e));
     } else {
+      running_rows.erase(std::find(running_rows.begin(), running_rows.end(), act.row));
       const int r_limit = e.limit;
       const int b = candidate.global_batch(job);
       const int c = candidate.gpu_count(job);
@@ -265,17 +334,23 @@ void Evolution::fill_idle(cluster::Assignment& candidate, const EvolutionContext
       // Every growth option offered above had room for one more worker.
       ONES_EXPECT(target_c > c);
       for (int k = 0; k < target_c - c; ++k) {
-        candidate.place(idle_gpus[static_cast<std::size_t>(k)], job, 1);
+        candidate.place(candidate.idle_gpus().front(), job, 1);
       }
       // Raise the batch toward the limit with the new worker count, then
       // re-split evenly (clamp_job also enforces memory limits).
-      const auto gpus = candidate.gpus_of(job);
-      const int n = static_cast<int>(gpus.size());
-      sched::place_job_even(candidate, job, gpus,
+      const int n = candidate.gpu_count(job);
+      sched::place_job_even(candidate, job, candidate.worker_gpus(job),
                             std::clamp(std::min(r_limit, local * n), n,
                                        n * e.view->profile->max_local_batch));
       clamp_job(candidate, e);
     }
+    // The acted job may have moved in the first-occurrence order (a resume
+    // joins it; growing can take a GPU below the job's lowest); every other
+    // job kept its GPUs and so its place.
+    const auto& running = candidate.running_jobs();
+    running_rows.insert(
+        running_rows.begin() + (std::find(running.begin(), running.end(), job) - running.begin()),
+        act.row);
   }
 }
 
@@ -284,7 +359,8 @@ void Evolution::refresh(cluster::Assignment& candidate, const EvolutionContext& 
   //     any other job whose batch exceeds its current limit R: drop to
   //     floor(R*c/B) GPUs and batch R (paper's rule), then clamp. One pass:
   //     each step touches only its own job's GPUs.
-  for (JobId j : candidate.running_jobs()) {
+  const std::vector<JobId> running = candidate.running_jobs();
+  for (JobId j : running) {
     const JobEntry* e = ctx.find(j);
     if (e == nullptr || e->view->status == sched::JobStatus::Completed) {
       candidate.evict(j);
@@ -296,13 +372,9 @@ void Evolution::refresh(cluster::Assignment& candidate, const EvolutionContext& 
       const int c = candidate.gpu_count(j);
       const int target_c =
           std::max(1, static_cast<int>(static_cast<std::int64_t>(r_limit) * c / b));
-      auto gpus = candidate.gpus_of(j);
-      while (static_cast<int>(gpus.size()) > target_c) {
-        candidate.clear(gpus.back());
-        gpus.pop_back();
-      }
+      for (int k = c; k > target_c; --k) candidate.clear(candidate.worker_gpus(j).back());
       const int base = std::max(r_limit, target_c) / target_c;
-      for (std::size_t i = 0; i < gpus.size(); ++i) candidate.place(gpus[i], j, base);
+      for (const GpuId g : candidate.worker_gpus(j)) candidate.place(g, j, base);
     }
     clamp_job(candidate, *e);
   }
@@ -337,13 +409,9 @@ void Evolution::refresh(cluster::Assignment& candidate, const EvolutionContext& 
     candidate.clear(gpus.back());
     if (shared) clamp_job(candidate, *victim);
   }
-  {
-    auto idle = candidate.idle_gpus();
-    std::size_t next = 0;
-    for (const JobEntry* e : fresh) {
-      if (next >= idle.size()) break;
-      candidate.place(idle[next++], e->id, start_batch(*e));
-    }
+  for (const JobEntry* e : fresh) {
+    if (candidate.idle_count() == 0) break;
+    candidate.place(candidate.idle_gpus().front(), e->id, start_batch(*e));
   }
 
   // (4) Fill any remaining idle GPUs (Figure 7).
@@ -371,7 +439,8 @@ std::pair<cluster::Assignment, cluster::Assignment> Evolution::crossover(
 }
 
 void Evolution::mutate(cluster::Assignment& candidate, const EvolutionContext& ctx) {
-  for (JobId j : candidate.running_jobs()) {
+  const std::vector<JobId> running = candidate.running_jobs();
+  for (JobId j : running) {
     if (rng_.bernoulli(config_.mutation_rate)) {
       candidate.evict(j);
     }
@@ -379,7 +448,32 @@ void Evolution::mutate(cluster::Assignment& candidate, const EvolutionContext& c
   fill_idle(candidate, ctx);
 }
 
-cluster::Assignment Evolution::reorder(const cluster::Assignment& candidate) {
+bool Evolution::is_packed(const cluster::Assignment& candidate) {
+  bool idle_seen = false;
+  JobId run = kInvalidJob;  // job of the current run of workers
+  for (GpuId g = 0; g < candidate.num_gpus(); ++g) {
+    const cluster::Slot& s = candidate.slot(g);
+    if (!s.healthy()) {
+      if (s.occupied()) return false;
+      continue;  // reorder skips down GPUs
+    }
+    if (!s.occupied()) {
+      idle_seen = true;
+      continue;
+    }
+    if (idle_seen) return false;
+    if (s.job != run) {
+      // A new run must hold the job's lowest GPU, else the job's workers
+      // are split across runs.
+      if (candidate.worker_gpus(s.job).front() != g) return false;
+      run = s.job;
+    }
+  }
+  return true;
+}
+
+cluster::Assignment Evolution::reorder(cluster::Assignment candidate) {
+  if (is_packed(candidate)) return candidate;
   std::vector<cluster::Slot> packed(static_cast<std::size_t>(candidate.num_gpus()));
   for (const GpuId g : candidate.unhealthy_gpus()) {
     packed[static_cast<std::size_t>(g)].health = candidate.health(g);
@@ -443,7 +537,7 @@ void Evolution::step(const EvolutionContext& ctx) {
       cand.sync_health(*ctx.state->current);
       refresh(cand, ctx);
       if (config_.use_reorder) {
-        cand = reorder(cand);
+        cand = reorder(std::move(cand));
         ++reorders;
       }
     }
@@ -483,8 +577,8 @@ void Evolution::step(const EvolutionContext& ctx) {
         repair(c2, ctx);
         fill_idle(c2, ctx);
         if (config_.use_reorder) {
-          c1 = reorder(c1);
-          c2 = reorder(c2);
+          c1 = reorder(std::move(c1));
+          c2 = reorder(std::move(c2));
           reorders += 2;
         }
         cands.push_back(std::move(c1));
@@ -501,7 +595,7 @@ void Evolution::step(const EvolutionContext& ctx) {
         repair(m, ctx);
         fill_idle(m, ctx);
         if (config_.use_reorder) {
-          m = reorder(m);
+          m = reorder(std::move(m));
           ++reorders;
         }
         cands.push_back(std::move(m));
@@ -513,8 +607,8 @@ void Evolution::step(const EvolutionContext& ctx) {
   // keep the best K.
   const prof::Scope select_span(profiler_, "evolve.select");
   const std::vector<double> rho = sample_rho(ctx);
-  std::vector<double> scores(cands.size());
-  for (std::size_t i = 0; i < cands.size(); ++i) scores[i] = score(cands[i], ctx, rho);
+  std::size_t scored = 0;
+  const std::vector<double> scores = score_all(cands, ctx, rho, &scored);
   std::vector<std::size_t> order(cands.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),
@@ -530,6 +624,7 @@ void Evolution::step(const EvolutionContext& ctx) {
     metrics_->counter("ones_crossovers_total").add(static_cast<double>(crossovers));
     metrics_->counter("ones_mutations_total").add(static_cast<double>(mutations));
     metrics_->counter("ones_reorders_total").add(static_cast<double>(reorders));
+    metrics_->counter("ones_candidates_scored_total").add(static_cast<double>(scored));
     metrics_->gauge("ones_best_score").set(scores[order[0]]);
     metrics_->gauge("ones_population_size").set(static_cast<double>(population_.size()));
   }
@@ -541,13 +636,12 @@ cluster::Assignment Evolution::best(const EvolutionContext& ctx) {
     cand.sync_health(*ctx.state->current);
     refresh(cand, ctx);
   }
-  const std::vector<double> rho = mean_rho(ctx);
+  const std::vector<double> scores = score_all(population_, ctx, mean_rho(ctx));
   std::size_t best_i = 0;
   double best_s = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < population_.size(); ++i) {
-    const double s = score(population_[i], ctx, rho);
-    if (s < best_s) {
-      best_s = s;
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    if (scores[i] < best_s) {
+      best_s = scores[i];
       best_i = i;
     }
   }

@@ -105,7 +105,8 @@ class Evolution {
   /// Optional metrics registry (not owned; null — the default — disables
   /// instrumentation). `step` records the operator counters
   /// (`ones_crossovers_total`, `ones_mutations_total`, `ones_reorders_total`,
-  /// `ones_evolution_steps_total`) and the population fitness gauges
+  /// `ones_evolution_steps_total`), the distinct candidates it scored
+  /// (`ones_candidates_scored_total`) and the population fitness gauges
   /// (`ones_best_score`, `ones_population_size`). Never affects the search.
   void set_metrics(telemetry::MetricsRegistry* metrics) { metrics_ = metrics; }
 
@@ -132,13 +133,25 @@ class Evolution {
   std::pair<cluster::Assignment, cluster::Assignment> crossover(
       const cluster::Assignment& a, const cluster::Assignment& b);
   void mutate(cluster::Assignment& candidate, const EvolutionContext& ctx);
-  static cluster::Assignment reorder(const cluster::Assignment& candidate);
+  /// Pack each job's workers onto consecutive healthy GPUs, jobs in
+  /// first-occurrence order (Figure 10). A packed candidate comes back as is.
+  static cluster::Assignment reorder(cluster::Assignment candidate);
+  /// True iff reorder would return `candidate` unchanged: no worker on a
+  /// down GPU, the workers on a prefix of the healthy GPUs, and each job on
+  /// one run of consecutive healthy GPUs.
+  static bool is_packed(const cluster::Assignment& candidate);
   /// Enforce feasibility: known jobs only, warm-up single-GPU rule, B <= R,
   /// per-GPU memory limits, even batch splits.
   void repair(cluster::Assignment& candidate, const EvolutionContext& ctx);
   /// SRUF score (Eq. 8) under `rho`, a column of `ctx.jobs`; lower is better.
   double score(const cluster::Assignment& candidate, const EvolutionContext& ctx,
                const std::vector<double>& rho) const;
+  /// score() of every candidate, computed once per distinct slot array (a
+  /// repeat takes its first copy's score). `scored`, when given, receives
+  /// the number of distinct candidates.
+  std::vector<double> score_all(const std::vector<cluster::Assignment>& cands,
+                                const EvolutionContext& ctx, const std::vector<double>& rho,
+                                std::size_t* scored = nullptr) const;
   /// Algorithm 1, lines 1-3: one progress draw per active job, as a column
   /// of `ctx.jobs` (rho[i] belongs to ctx.jobs[i]).
   std::vector<double> sample_rho(const EvolutionContext& ctx) { return rho_column(ctx, &rng_); }

@@ -43,9 +43,8 @@ double ThroughputOracle::estimate_sps(const JobView& job, int workers, int batch
 }
 
 double ThroughputOracle::estimate_placed_sps(const JobView& job,
-                                             const cluster::Assignment& assignment) const {
+                                             const cluster::JobPlacement& p) const {
   ONES_EXPECT(job.profile != nullptr);
-  const cluster::JobPlacement p = assignment.placement(job.spec.id);
   ONES_EXPECT_MSG(p.workers > 0, "job has no workers in this assignment");
   // The job's GPU list is ascending, so it sits on one node iff its first
   // and last GPU do — the same answer Topology::link_profile gives.

@@ -52,18 +52,36 @@ std::vector<GpuId> pick_idle_gpus(const cluster::Assignment& assignment,
   return out;
 }
 
+namespace {
+
+/// Worker `i`'s share of `global_batch` over `workers` (model::even_split's
+/// shares, without building them): the first B % c workers take one extra
+/// sample.
+int even_share(int global_batch, int workers, int i) {
+  return global_batch / workers + (i < global_batch % workers ? 1 : 0);
+}
+
+}  // namespace
+
 void place_job_even(cluster::Assignment& assignment, JobId job,
-                    const std::vector<GpuId>& gpus, int global_batch) {
+                    std::span<const GpuId> gpus, int global_batch) {
   ONES_EXPECT(!gpus.empty());
   const int workers = static_cast<int>(gpus.size());
   ONES_EXPECT_MSG(global_batch >= workers, "cannot give every worker a sample");
-  // model::even_split's shares, without building them: the first B % c
-  // workers take one extra sample.
-  const int base = global_batch / workers;
-  const int rem = global_batch % workers;
   for (int i = 0; i < workers; ++i) {
-    assignment.place(gpus[static_cast<std::size_t>(i)], job, base + (i < rem ? 1 : 0));
+    assignment.place(gpus[static_cast<std::size_t>(i)], job, even_share(global_batch, workers, i));
   }
+}
+
+bool holds_even_split(const cluster::Assignment& assignment, JobId job,
+                      std::span<const GpuId> gpus, int global_batch) {
+  ONES_EXPECT(!gpus.empty());
+  const int workers = static_cast<int>(gpus.size());
+  for (int i = 0; i < workers; ++i) {
+    const cluster::Slot& s = assignment.slot(gpus[static_cast<std::size_t>(i)]);
+    if (s.job != job || s.local_batch != even_share(global_batch, workers, i)) return false;
+  }
+  return true;
 }
 
 std::optional<cluster::Assignment> deploy_plan(const ClusterState& state,

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cluster/assignment.hpp"
@@ -23,9 +24,15 @@ std::vector<GpuId> pick_idle_gpus(const cluster::Assignment& assignment,
 /// Place `job` on `gpus` splitting `global_batch` as evenly as possible
 /// (model::even_split's shares, in `gpus` order); needs global_batch >=
 /// gpus.size(). The one even-split placement: the gang baselines and the
-/// ONES operators all place through it.
+/// ONES operators all place through it. `gpus` may be the job's own
+/// `worker_gpus` view: re-placing a job on its own GPUs moves only batches.
 void place_job_even(cluster::Assignment& assignment, JobId job,
-                    const std::vector<GpuId>& gpus, int global_batch);
+                    std::span<const GpuId> gpus, int global_batch);
+
+/// True iff `job` already runs on `gpus` with place_job_even's split of
+/// `global_batch`, so that placing it would change nothing.
+bool holds_even_split(const cluster::Assignment& assignment, JobId job,
+                      std::span<const GpuId> gpus, int global_batch);
 
 /// One entry of a gang-scheduling plan: run `job` on `workers` >= 1 GPUs.
 struct PlannedJob {

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "cluster/assignment.hpp"
 #include "cluster/fragmentation.hpp"
 #include "cluster/topology.hpp"
+#include "common/rng.hpp"
 
 namespace ones::cluster {
 namespace {
@@ -180,6 +182,81 @@ TEST(Assignment, FromSlotsEqualsOnePlacePerGpu) {
   EXPECT_THROW(Assignment::from_slots(slots), std::logic_error);
   slots[3] = Slot{kInvalidJob, 4, SlotHealth::Reclaimed};  // idle slot with a batch
   EXPECT_THROW(Assignment::from_slots(slots), std::logic_error);
+}
+
+/// running_jobs() as the slot array defines it: jobs in order of their
+/// first worker, walking the GPUs in ascending order.
+std::vector<JobId> first_occurrence_walk(const Assignment& a) {
+  std::vector<JobId> out;
+  for (GpuId g = 0; g < a.num_gpus(); ++g) {
+    const JobId j = a.slot(g).job;
+    if (j != kInvalidJob && std::find(out.begin(), out.end(), j) == out.end()) {
+      out.push_back(j);
+    }
+  }
+  return out;
+}
+
+/// Seeded random mutator sequence on a `gpus`-GPU assignment. After every
+/// operation the incremental indexes must equal a rebuild from the slots,
+/// and running_jobs() the first-occurrence walk.
+void random_mutator_walk(int gpus, std::uint64_t seed, int ops) {
+  Rng rng(seed);
+  const int jobs = std::max(4, gpus / 3);
+  const auto any_gpu = [&] { return static_cast<GpuId>(rng.uniform_int(0, gpus - 1)); };
+  const auto any_job = [&] { return static_cast<JobId>(rng.uniform_int(1, jobs)); };
+  const auto any_batch = [&] { return static_cast<int>(rng.uniform_int(1, 64)); };
+  const auto any_health = [&] { return static_cast<SlotHealth>(rng.uniform_int(0, 2)); };
+  // from_slots refuses workers on down GPUs, which set_health can leave.
+  const auto placeable_slots = [](const Assignment& a) {
+    std::vector<Slot> slots;
+    for (GpuId g = 0; g < a.num_gpus(); ++g) {
+      Slot s = a.slot(g);
+      if (!s.healthy()) s = Slot{kInvalidJob, 0, s.health};
+      slots.push_back(s);
+    }
+    return slots;
+  };
+  Assignment a(gpus);
+  for (int op = 0; op < ops; ++op) {
+    const auto kind = rng.uniform_int(0, 11);
+    if (kind <= 4) {  // place: the common mutation, often over another job
+      const GpuId g = any_gpu();
+      if (a.slot(g).healthy()) a.place(g, any_job(), any_batch());
+    } else if (kind == 5) {
+      a.clear(any_gpu());
+    } else if (kind == 6) {
+      a.evict(any_job());
+    } else if (kind == 7) {
+      const GpuId g = any_gpu();
+      if (a.slot(g).occupied()) a.set_local_batch(g, any_batch());
+    } else if (kind == 8) {
+      // Mostly heal, so that the cluster keeps placeable GPUs.
+      a.set_health(any_gpu(), rng.bernoulli(0.5) ? SlotHealth::Healthy : any_health());
+    } else if (kind == 9) {
+      Assignment health_map = Assignment::empty_like(a);
+      for (int k = 0; k < 3; ++k) health_map.set_health(any_gpu(), any_health());
+      a.sync_health(health_map);
+    } else if (kind == 10) {
+      a = Assignment::from_slots(placeable_slots(a));
+    } else {
+      // A copy must be independent of its source.
+      Assignment copy = a;
+      const GpuId g = any_gpu();
+      if (copy.slot(g).healthy()) copy.place(g, any_job(), any_batch());
+      ASSERT_NO_THROW(copy.audit_indexes()) << "op " << op;
+    }
+    ASSERT_NO_THROW(a.audit_indexes()) << "op " << op << " kind " << kind;
+    ASSERT_EQ(a.running_jobs(), first_occurrence_walk(a)) << "op " << op << " kind " << kind;
+  }
+}
+
+TEST(Assignment, RandomMutatorsKeepIndexesExact16Gpus) {
+  for (std::uint64_t seed : {1, 2, 3}) random_mutator_walk(16, seed, 4000);
+}
+
+TEST(Assignment, RandomMutatorsKeepIndexesExact128Gpus) {
+  for (std::uint64_t seed : {4, 5}) random_mutator_walk(128, seed, 4000);
 }
 
 TEST(Assignment, EqualityAndToString) {

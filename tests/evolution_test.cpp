@@ -2,8 +2,11 @@
 // evolutionary operators / SRUF scoring (§3.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <set>
 #include <vector>
 
@@ -11,6 +14,8 @@
 #include "core/evolution.hpp"
 #include "predict/progress_predictor.hpp"
 #include "sched/oracle.hpp"
+#include "sched/placement.hpp"
+#include "telemetry/registry.hpp"
 
 namespace ones::core {
 namespace {
@@ -409,7 +414,7 @@ TEST(Evolution, ScoreIsSrufUtilization) {
   // Eq. 8: Y_proc * c / X * (1/rho - 1); plus switch surcharge because the
   // live assignment (empty) differs... job 1 is Running in view but absent
   // from live, so no switch penalty applies (it is charged as a resume).
-  const double x = f.oracle_.estimate_placed_sps(v, cand);
+  const double x = f.oracle_.estimate_placed_sps(v, cand.placement(1));
   const double expected = 40000.0 * 1.0 / x * (1.0 / 0.5 - 1.0);
   EXPECT_NEAR(evo.score(cand, ctx, rho), expected + 600.0 /*preempt: live had none*/,
               expected + 600.0);
@@ -549,6 +554,27 @@ std::uint64_t slots_digest(std::uint64_t h, const cluster::Assignment& a) {
   return h;
 }
 
+/// A trained progress predictor over three completed ResNet18 runs.
+predict::ProgressPredictor trained_predictor() {
+  predict::ProgressPredictor predictor;
+  for (JobId j = 100; j < 103; ++j) {
+    sched::JobView done;
+    done.spec.id = j;
+    done.spec.variant = {"ResNet18", "t", 20000, 10};
+    done.profile = &model::profile_by_name("ResNet18");
+    done.status = sched::JobStatus::Completed;
+    done.init_loss = done.profile->init_loss;
+    const int epochs = 20 + 3 * static_cast<int>(j - 100);
+    for (int e = 1; e <= epochs; ++e) {
+      done.epoch_log.push_back({10.0 * e, 20000.0 * e, 2.0 / e, 0.9 * e / epochs, 256});
+    }
+    done.epochs_completed = epochs;
+    done.samples_processed = 20000.0 * epochs;
+    predictor.observe_completed_job(done);
+  }
+  return predictor;
+}
+
 // Decision pin for the evolve step: 50 seeded generations plus the deployed
 // winner on a fixed world (running, waiting and fresh jobs, a down GPU and a
 // trained predictor). The digest covers every surviving genome, so any
@@ -568,22 +594,7 @@ TEST(Evolution, StepDecisionsArePinned) {
   f.run_on(2, {4}, 128);
   f.current_.set_health(7, cluster::SlotHealth::Failed);
 
-  predict::ProgressPredictor predictor;
-  for (JobId j = 100; j < 103; ++j) {
-    sched::JobView done;
-    done.spec.id = j;
-    done.spec.variant = {"ResNet18", "t", 20000, 10};
-    done.profile = &model::profile_by_name("ResNet18");
-    done.status = sched::JobStatus::Completed;
-    done.init_loss = done.profile->init_loss;
-    const int epochs = 20 + 3 * static_cast<int>(j - 100);
-    for (int e = 1; e <= epochs; ++e) {
-      done.epoch_log.push_back({10.0 * e, 20000.0 * e, 2.0 / e, 0.9 * e / epochs, 256});
-    }
-    done.epochs_completed = epochs;
-    done.samples_processed = 20000.0 * epochs;
-    predictor.observe_completed_job(done);
-  }
+  const predict::ProgressPredictor predictor = trained_predictor();
   ASSERT_TRUE(predictor.trained());
 
   auto ctx = f.context(&predictor);
@@ -595,6 +606,214 @@ TEST(Evolution, StepDecisionsArePinned) {
   for (const auto& cand : evo.population()) h = slots_digest(h, cand);
   h = slots_digest(h, evo.best(ctx));
   EXPECT_EQ(h, 0x93dceeb44bd0c3c1ULL) << std::hex << "digest 0x" << h;
+}
+
+/// A 64-GPU world with three down GPUs and 24 active jobs: warm running
+/// jobs (some multi-GPU), warm waiting jobs, cold jobs that ran once and
+/// fresh jobs that never ran.
+class Pin64 : public Fixture {
+ public:
+  Pin64() : Fixture(16) {
+    const char* models[] = {"ResNet18", "GoogleNet", "VGG16-CIFAR", "AlexNet",
+                            "ResNet50", "VGG16", "InceptionV3", "ResNet50-CIFAR"};
+    for (JobId j = 1; j <= 24; ++j) {
+      const int epochs = j % 6 == 0 ? 0 : static_cast<int>(j % 5);
+      auto& v = add_job(j, models[j % 8], 10000 + 2500 * (j % 7), sched::JobStatus::Waiting,
+                        epochs, 30.0 * epochs);
+      for (int e = 0; e < epochs; ++e) limits_.on_epoch_complete(v);
+    }
+    run_on(1, {0, 1, 2, 3}, 512);
+    run_on(2, {4, 5}, 256);
+    run_on(3, {9}, 128);
+    run_on(4, {12, 13}, 128);
+    run_on(7, {20, 21, 22, 23}, 256);
+    run_on(8, {30}, 64);
+    run_on(9, {40, 41}, 256);
+    current_.set_health(11, cluster::SlotHealth::Failed);
+    current_.set_health(35, cluster::SlotHealth::Reclaimed);
+    current_.set_health(50, cluster::SlotHealth::Failed);
+  }
+};
+
+// Second decision pin, at the scale where per-candidate work dominates:
+// 40 seeded generations on Pin64 with the cluster-sized population, then the
+// deployed winner. Re-pin only for an intended decision change.
+TEST(Evolution, StepDecisionsArePinnedAt64Gpus) {
+  Pin64 f;
+  const predict::ProgressPredictor predictor = trained_predictor();
+  ASSERT_TRUE(predictor.trained());
+  auto ctx = f.context(&predictor);
+  EvolutionConfig cfg;
+  cfg.seed = 1234;
+  Evolution evo(cfg);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (int i = 0; i < 40; ++i) evo.step(ctx);
+  ASSERT_EQ(evo.population().size(), 64u);
+  for (const auto& cand : evo.population()) h = slots_digest(h, cand);
+  h = slots_digest(h, evo.best(ctx));
+  EXPECT_EQ(h, 0xc10b8a05639a9ddeULL) << std::hex << "digest 0x" << h;
+}
+
+
+// ---------------- Fast paths vs. the full operators ----------------
+
+/// Figure 10's packing, spelled out: each job's workers, jobs in
+/// first-occurrence order, onto the healthy GPUs in ascending order.
+cluster::Assignment reference_reorder(const cluster::Assignment& a) {
+  std::vector<cluster::Slot> packed(static_cast<std::size_t>(a.num_gpus()));
+  for (GpuId g = 0; g < a.num_gpus(); ++g) packed[static_cast<std::size_t>(g)].health = a.health(g);
+  std::size_t next = 0;
+  for (JobId j : a.running_jobs()) {
+    for (GpuId g : a.gpus_of(j)) {
+      while (next < packed.size() && !packed[next].healthy()) ++next;
+      if (next == packed.size()) throw std::logic_error("more workers than healthy GPUs");
+      packed[next].job = j;
+      packed[next].local_batch = a.slot(g).local_batch;
+      ++next;
+    }
+  }
+  return cluster::Assignment::from_slots(std::move(packed));
+}
+
+/// A random genome over jobs 1..jobs on a cluster with a few down GPUs;
+/// `workers_on_down` also leaves workers on GPUs that failed after placement.
+cluster::Assignment random_candidate(Rng& rng, int gpus, int jobs, bool workers_on_down) {
+  cluster::Assignment a(gpus);
+  const double fill = rng.uniform(0.2, 1.0);
+  for (GpuId g = 0; g < gpus; ++g) {
+    if (rng.bernoulli(fill)) {
+      a.place(g, rng.uniform_int(1, jobs), static_cast<int>(rng.uniform_int(1, 256)));
+    }
+  }
+  for (auto k = rng.uniform_int(0, 3); k > 0; --k) {
+    const auto g = static_cast<GpuId>(rng.uniform_int(0, gpus - 1));
+    if (!workers_on_down) a.clear(g);
+    a.set_health(g, rng.bernoulli(0.5) ? cluster::SlotHealth::Failed
+                                       : cluster::SlotHealth::Reclaimed);
+  }
+  return a;
+}
+
+TEST(Evolution, PackedCheckNeverSkipsAChangingReorder) {
+  Rng rng(17);
+  int packed_seen = 0;
+  for (int i = 0; i < 600; ++i) {
+    const int gpus = i % 2 == 0 ? 16 : 64;
+    const bool workers_on_down = i % 5 == 0;
+    cluster::Assignment a = random_candidate(rng, gpus, 3 + i % 12, workers_on_down);
+    // Every third candidate starts packed, and half of those get one slot
+    // moved, so both verdicts are exercised near the boundary.
+    if (i % 3 == 0 && !workers_on_down) {
+      a = reference_reorder(a);
+      if (rng.bernoulli(0.5) && a.idle_count() > 0 && !a.running_jobs().empty()) {
+        const JobId j = a.running_jobs()[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(a.running_jobs().size()) - 1))];
+        a.place(a.idle_gpus().back(), j, 8);
+      }
+    }
+    std::optional<cluster::Assignment> want;
+    try {
+      want = reference_reorder(a);
+    } catch (const std::logic_error&) {  // more workers than healthy GPUs
+      EXPECT_FALSE(Evolution::is_packed(a));
+      EXPECT_THROW(Evolution::reorder(a), std::logic_error);
+      continue;
+    }
+    EXPECT_EQ(Evolution::is_packed(a), *want == a) << a.to_string();
+    EXPECT_EQ(Evolution::reorder(a), *want) << a.to_string();
+    packed_seen += Evolution::is_packed(a) ? 1 : 0;
+  }
+  EXPECT_GT(packed_seen, 50);
+  EXPECT_LT(packed_seen, 550);
+}
+
+/// repair as one unconditional pass: evict completed and unknown jobs, trim
+/// the rest to their target worker count and always re-split the batch.
+void reference_repair(cluster::Assignment& a, const EvolutionContext& ctx) {
+  const std::vector<JobId> running = a.running_jobs();
+  for (JobId j : running) {
+    const JobEntry* e = ctx.find(j);
+    if (e == nullptr || e->view->status == sched::JobStatus::Completed) {
+      a.evict(j);
+      continue;
+    }
+    std::vector<GpuId> gpus = a.gpus_of(j);
+    const int target = std::max(1, std::min(e->warm ? static_cast<int>(gpus.size()) : 1, e->limit));
+    while (static_cast<int>(gpus.size()) > target) {
+      a.clear(gpus.back());
+      gpus.pop_back();
+    }
+    const int max_b = std::min(e->limit, target * e->view->profile->max_local_batch);
+    sched::place_job_even(a, j, gpus, std::clamp(a.global_batch(j), target, max_b));
+  }
+}
+
+TEST(Evolution, RepairEarlyOutMatchesFullResplit) {
+  Pin64 f;
+  f.add_job(30, "VGG16", 10000, sched::JobStatus::Completed, 9, 500.0);
+  auto ctx = f.context();
+  Evolution evo(EvolutionConfig{});
+  Rng rng(23);
+  int unchanged = 0;
+  for (int i = 0; i < 300; ++i) {
+    // Jobs 1..31 cover warm, cold and fresh jobs, the completed job 30 and
+    // the unknown job 31.
+    cluster::Assignment a = random_candidate(rng, f.topo_.total_gpus(), 31, false);
+    if (i % 2 == 1) reference_repair(a, ctx);  // already repaired: all early-outs
+    cluster::Assignment want = a;
+    reference_repair(want, ctx);
+    unchanged += want == a ? 1 : 0;
+    evo.repair(a, ctx);
+    ASSERT_EQ(a, want) << "candidate " << i;
+    ASSERT_NO_THROW(a.audit_indexes());
+  }
+  EXPECT_GE(unchanged, 150);
+}
+
+TEST(Evolution, DeduplicatedScoresEqualDirectScores) {
+  Pin64 f;
+  const predict::ProgressPredictor predictor = trained_predictor();
+  auto ctx = f.context(&predictor);
+  EvolutionConfig cfg;
+  cfg.seed = 5;
+  Evolution evo(cfg);
+  for (int i = 0; i < 3; ++i) evo.step(ctx);
+  // The population plus repeats of some of its members, interleaved.
+  std::vector<cluster::Assignment> cands = evo.population();
+  for (std::size_t i = 0; i < evo.population().size(); i += 3) cands.push_back(evo.population()[i]);
+  const std::vector<double> rho = evo.sample_rho(ctx);
+  std::size_t scored = 0;
+  const std::vector<double> scores = evo.score_all(cands, ctx, rho, &scored);
+  std::set<std::uint64_t> distinct;
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    EXPECT_EQ(scores[i], evo.score(cands[i], ctx, rho)) << "candidate " << i;
+    distinct.insert(slots_digest(0xcbf29ce484222325ULL, cands[i]));
+  }
+  EXPECT_EQ(scored, distinct.size());
+  EXPECT_LT(scored, cands.size());
+}
+
+TEST(Evolution, ScoredCandidatesCounterCountsDistinctCandidates) {
+  Pin64 f;
+  const predict::ProgressPredictor predictor = trained_predictor();
+  auto ctx = f.context(&predictor);
+  EvolutionConfig cfg;
+  cfg.seed = 1234;
+  Evolution evo(cfg);
+  telemetry::MetricsRegistry metrics;
+  evo.set_metrics(&metrics);
+  const int steps = 10;
+  for (int i = 0; i < steps; ++i) evo.step(ctx);
+  // Per step: K refreshed members, the incumbent, 2K crossover children and
+  // K mutants, with K = 64 (the cluster size).
+  const double candidates = steps * (64.0 + 1.0 + 2 * 64.0 + 64.0);
+  const double scored = metrics.counter("ones_candidates_scored_total").value();
+  EXPECT_GT(scored, 0.0);
+  EXPECT_LT(scored, candidates);
+  // The operator counters still count every call.
+  EXPECT_EQ(metrics.counter("ones_reorders_total").value(), steps * (64.0 + 2 * 64.0 + 64.0));
+  EXPECT_EQ(metrics.counter("ones_crossovers_total").value(), steps * 64.0);
+  EXPECT_EQ(metrics.counter("ones_mutations_total").value(), steps * 64.0);
 }
 
 }  // namespace

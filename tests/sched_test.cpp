@@ -61,8 +61,8 @@ TEST(Oracle, PlacedEstimateUsesActualLink) {
   colocated.place(1, 1, 128);
   spread.place(0, 1, 128);
   spread.place(4, 1, 128);  // second node
-  EXPECT_GT(oracle.estimate_placed_sps(v, colocated),
-            oracle.estimate_placed_sps(v, spread));
+  EXPECT_GT(oracle.estimate_placed_sps(v, colocated.placement(1)),
+            oracle.estimate_placed_sps(v, spread.placement(1)));
 }
 
 TEST(Oracle, NoiseIsDeterministicPerConfiguration) {
@@ -123,7 +123,8 @@ TEST(Oracle, PlacedEstimateMatchesBatchVectorModel) {
           model::throughput_sps(*v.profile, batches, link) *
           oracle.noise_factor(v.spec.id, static_cast<int>(gpus.size()),
                               a.global_batch(v.spec.id));
-      EXPECT_EQ(oracle.estimate_placed_sps(v, a), expected) << a.to_string();
+      EXPECT_EQ(oracle.estimate_placed_sps(v, a.placement(v.spec.id)), expected)
+          << a.to_string();
     }
     EXPECT_GT(one_node, 50);
     EXPECT_GT(multi_node, 50);

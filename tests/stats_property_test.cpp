@@ -28,7 +28,13 @@ std::string beta_name(const testing::TestParamInfo<BetaParam>& info) {
     }
     return s.substr(0, s.find('p') + 2);
   };
-  return "a" + fmt(info.param.alpha) + "_b" + fmt(info.param.beta);
+  // Appended rather than `"a" + ...`: GCC 12 at -O3 reports a false
+  // -Wrestrict on prefix string insertion.
+  std::string name = "a";
+  name += fmt(info.param.alpha);
+  name += "_b";
+  name += fmt(info.param.beta);
+  return name;
 }
 
 class BetaGrid : public testing::TestWithParam<BetaParam> {};
