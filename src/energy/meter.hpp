@@ -18,6 +18,11 @@
 // power draw — the property tests/energy_test.cpp checks against the
 // exported `cluster_watts` timeline.
 //
+// Each placed job's draw is cached: a schedule change reprices only the jobs
+// whose GPUs or local batches moved, while node and cluster watts are re-
+// summed in the fixed order every time, so joules are bit-for-bit those of a
+// full repricing (DESIGN.md §10; `audit` checks it).
+//
 // Determinism: watts derive from PowerModel (pure), intervals from the sim
 // clock. The optional MetricsRegistry follows the §9 contract — null by
 // default, one branch per emission site, attaching it never changes joules.
@@ -45,6 +50,9 @@ class EnergyMeter {
   /// `model` and `topology` are borrowed, not owned.
   EnergyMeter(const PowerModel& model, const cluster::Topology& topology,
               ProfileLookup profile_of);
+  // The cached draws point into this meter's own joules map.
+  EnergyMeter(const EnergyMeter&) = delete;
+  EnergyMeter& operator=(const EnergyMeter&) = delete;
 
   /// Attach a registry (may be null). Publishes the `cluster_watts` timeline
   /// series, the `energy_cluster_watts` gauge and the monotone
@@ -59,12 +67,22 @@ class EnergyMeter {
   /// Close the final interval at the end of the run.
   void finalize(double now);
 
+  /// Audit mode: reprice `current` (the assignment of the last
+  /// on_assignment) from scratch and throw (ONES_EXPECT) unless every cached
+  /// draw and every watts sum equals it exactly. Tests and the simulation's
+  /// `audit_incremental` flag only.
+  void audit(const cluster::Assignment& current) const;
+
   /// Sim-time up to which joules have been integrated (the last
   /// on_assignment/finalize time).
   double metered_until() const { return last_t_; }
 
   // ---- Current draw (watts) ----
   double cluster_watts() const { return cluster_watts_; }
+  /// Draw of a placed job (0.0 when it holds no GPU).
+  double job_watts(JobId job) const;
+  /// Per-node draw (base power included), indexed by NodeId.
+  const std::vector<double>& watts_by_node() const { return watts_by_node_; }
 
   // ---- Integrated energy (joules) ----
   double cluster_joules() const { return cluster_joules_; }
@@ -77,9 +95,30 @@ class EnergyMeter {
   const std::vector<double>& joules_by_node() const { return joules_by_node_; }
 
  private:
+  /// One worker of a priced job: where it runs, its local batch, its watts.
+  struct Worker {
+    GpuId gpu = -1;
+    int local_batch = 0;
+    double watts = 0.0;
+    bool operator==(const Worker&) const = default;
+  };
+  /// One placed job's priced draw; its workers are workers_[begin, begin +
+  /// count), in ascending GPU order. Flat, so sorting draws moves no heap.
+  struct Draw {
+    JobId job = kInvalidJob;
+    int begin = 0;
+    int count = 0;
+    double watts = 0.0;  ///< sum of the workers' watts, in worker order
+    /// The job's joules_by_job_ entry, made at its first interval with dt > 0
+    /// (std::map nodes never move).
+    double* joules = nullptr;
+  };
+
   void accumulate(double now);
   void rescan(const cluster::Assignment& next);
   void publish(double now);
+  /// The cached draw of `job`, or nullptr (binary search: JobId order).
+  const Draw* find_draw(JobId job) const;
 
   const PowerModel* model_;
   const cluster::Topology* topology_;
@@ -88,8 +127,15 @@ class EnergyMeter {
   double last_t_ = 0.0;
   double cluster_watts_ = 0.0;
   double overhead_watts_ = 0.0;
-  std::map<JobId, double> watts_by_job_;
+  std::vector<Draw> draws_;      ///< one per placed job, ascending by JobId
+  std::vector<Worker> workers_;  ///< every draw's workers
   std::vector<double> watts_by_node_;
+  // rescan's scratch: the next draws and workers (swapped in), and the GPU
+  // and batch vectors a repriced job is handed to the power model in.
+  std::vector<Draw> next_draws_;
+  std::vector<Worker> next_workers_;
+  std::vector<GpuId> gpus_scratch_;
+  std::vector<int> batches_scratch_;
 
   double cluster_joules_ = 0.0;
   double overhead_joules_ = 0.0;

@@ -97,12 +97,16 @@ std::optional<cluster::Assignment> deploy_plan(const ClusterState& state,
       std::all_of(plan.begin(), plan.end(), kept)) {
     return std::nullopt;
   }
-  cluster::Assignment next = cluster::Assignment::empty_like(live);
+  // Start from the live schedule, so the kept jobs stay put (GPUs, local
+  // batches and all) at the cost of evicting only what the plan drops.
+  std::vector<JobId> kept_ids;
   for (const PlannedJob& p : plan) {
-    if (!kept(p)) continue;
-    for (GpuId g : live.gpus_of(p.job->spec.id)) {
-      next.place(g, p.job->spec.id, live.slot(g).local_batch);
-    }
+    if (kept(p)) kept_ids.push_back(p.job->spec.id);
+  }
+  std::sort(kept_ids.begin(), kept_ids.end());
+  cluster::Assignment next = live;
+  for (const JobId j : live.running_jobs()) {
+    if (!std::binary_search(kept_ids.begin(), kept_ids.end(), j)) next.evict(j);
   }
   for (const PlannedJob& p : plan) {
     if (kept(p)) continue;
@@ -113,17 +117,16 @@ std::optional<cluster::Assignment> deploy_plan(const ClusterState& state,
   return next;
 }
 
-std::vector<PlannedJob> fit_requested(const ClusterState& state,
-                                      const std::vector<const JobView*>& ordered) {
+void fit_requested(const ClusterState& state, const std::vector<const JobView*>& ordered,
+                   std::vector<PlannedJob>& plan) {
   int capacity = state.current->healthy_count();
-  std::vector<PlannedJob> plan;
+  plan.clear();
   for (const JobView* job : ordered) {
     if (job->spec.requested_gpus <= capacity) {
       plan.push_back({job, job->spec.requested_gpus});
       capacity -= job->spec.requested_gpus;
     }
   }
-  return plan;
 }
 
 }  // namespace ones::sched

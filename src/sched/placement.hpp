@@ -44,17 +44,18 @@ struct PlannedJob {
 /// Returns nullopt when the plan is already deployed: every planned job runs
 /// on exactly `workers` GPUs (its JobView::gpus) and nothing else runs in
 /// `state.current`. Otherwise the planned jobs already on `workers` GPUs
-/// keep their GPUs and local batches, every other job is dropped, and the
-/// rest of the plan is placed in plan order (pick_idle_gpus, then
-/// place_job_even with the requested batch). The plan must fit the healthy
-/// capacity.
+/// keep their GPUs and local batches, every other job is evicted from a copy
+/// of the live schedule, and the rest of the plan is placed in plan order
+/// (pick_idle_gpus, then place_job_even with the requested batch). The plan
+/// must fit the healthy capacity.
 std::optional<cluster::Assignment> deploy_plan(const ClusterState& state,
                                                const std::vector<PlannedJob>& plan);
 
-/// Greedy gang fit shared by Tiresias and SRTF*: walk `ordered` and plan
-/// every job whose requested GPU count still fits the healthy capacity
-/// (a smaller job may skip past a blocked larger one).
-std::vector<PlannedJob> fit_requested(const ClusterState& state,
-                                      const std::vector<const JobView*>& ordered);
+/// Greedy gang fit shared by Tiresias and SRTF*: walk `ordered` and plan,
+/// into `plan` (cleared first), every job whose requested GPU count still
+/// fits the healthy capacity (a smaller job may skip past a blocked larger
+/// one).
+void fit_requested(const ClusterState& state, const std::vector<const JobView*>& ordered,
+                   std::vector<PlannedJob>& plan);
 
 }  // namespace ones::sched

@@ -203,6 +203,7 @@ const ClusterState& ClusterSimulation::make_state() {
 
 void ClusterSimulation::audit_state() const {
   current_.audit_indexes();
+  energy_.audit(current_);  // every change to current_ reached the meter
   if (injector_ != nullptr) {
     for (GpuId g = 0; g < topology_.total_gpus(); ++g) {
       ONES_EXPECT_MSG(current_.health(g) == injector_->health(g),

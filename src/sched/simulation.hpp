@@ -52,8 +52,8 @@ struct SimulationConfig {
   double max_sim_time_s = 1e7;
   /// Audit mode (DESIGN.md §12): after every scheduler notification,
   /// recompute all incremental indexes (Assignment's idle/per-job stats, the
-  /// ClusterState job lists) from first principles and throw on any
-  /// divergence. Pure cross-check — it must never change results — so like
+  /// ClusterState job lists, the energy meter's cached draws) from first
+  /// principles and throw on any divergence. Pure cross-check — it must never change results — so like
   /// the trace/metrics sinks it is deliberately NOT an orchestrator
   /// cache-key input. O(G + J) per event: tests only.
   bool audit_incremental = false;
@@ -186,7 +186,8 @@ class ClusterSimulation {
   /// are maintained incrementally at arrival/completion) and hand it out.
   const ClusterState& make_state();
   /// SimulationConfig::audit_incremental: recompute every incremental index
-  /// from first principles and throw on divergence.
+  /// and the energy meter's cached draws from first principles and throw on
+  /// divergence.
   void audit_state() const;
 
   SimulationConfig config_;

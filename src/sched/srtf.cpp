@@ -36,7 +36,9 @@ std::optional<cluster::Assignment> SrtfOracleScheduler::on_event(
   std::vector<const JobView*> ordered;
   ordered.reserve(cands.size());
   for (const Cand& c : cands) ordered.push_back(c.job);
-  return deploy_plan(state, fit_requested(state, ordered));
+  std::vector<PlannedJob> plan;
+  fit_requested(state, ordered, plan);
+  return deploy_plan(state, plan);
 }
 
 }  // namespace ones::sched

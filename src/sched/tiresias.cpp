@@ -19,12 +19,12 @@ int TiresiasScheduler::queue_of(const JobView& job) const {
 std::optional<cluster::Assignment> TiresiasScheduler::on_event(const ClusterState& state,
                                                                const SchedulerEvent& event) {
   (void)event;
-
-  struct Cand {
-    const JobView* job;
-    int queue;
-  };
-  std::vector<Cand> cands;
+  // Priority: lower queue first, JobId order within a queue. Walking the
+  // arrival-ordered active list into one bucket per queue leaves each bucket
+  // already in JobId order unless ids arrived out of order (a loaded trace),
+  // so a bucket is sorted only when it has to be.
+  buckets_.resize(config_.queue_thresholds.size() + 1);
+  for (auto& bucket : buckets_) bucket.clear();
   for (const JobView* job : state.active_jobs()) {
     int q = queue_of(*job);
     if (config_.promote_knob > 0.0 && job->status == JobStatus::Waiting) {
@@ -33,17 +33,18 @@ std::optional<cluster::Assignment> TiresiasScheduler::on_event(const ClusterStat
         q = 0;  // STARVE-FREE promotion
       }
     }
-    cands.push_back({job, q});
+    buckets_[static_cast<std::size_t>(q)].push_back(job);
   }
-  // Priority: lower queue first; FIFO (arrival order) within a queue.
-  std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
-    if (a.queue != b.queue) return a.queue < b.queue;
-    return a.job->spec.id < b.job->spec.id;
-  });
-  std::vector<const JobView*> ordered;
-  ordered.reserve(cands.size());
-  for (const Cand& c : cands) ordered.push_back(c.job);
-  return deploy_plan(state, fit_requested(state, ordered));
+  const auto by_id = [](const JobView* a, const JobView* b) { return a->spec.id < b->spec.id; };
+  ordered_.clear();
+  for (auto& bucket : buckets_) {
+    if (!std::is_sorted(bucket.begin(), bucket.end(), by_id)) {
+      std::sort(bucket.begin(), bucket.end(), by_id);
+    }
+    ordered_.insert(ordered_.end(), bucket.begin(), bucket.end());
+  }
+  fit_requested(state, ordered_, plan_);
+  return deploy_plan(state, plan_);
 }
 
 }  // namespace ones::sched

@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "sched/placement.hpp"
 #include "sched/scheduler.hpp"
 
 namespace ones::sched {
@@ -40,6 +41,10 @@ class TiresiasScheduler : public Scheduler {
 
  private:
   TiresiasConfig config_;
+  // Per-call scratch, kept so that a call allocates nothing once warm.
+  std::vector<std::vector<const JobView*>> buckets_;  ///< one per queue
+  std::vector<const JobView*> ordered_;
+  std::vector<PlannedJob> plan_;
 };
 
 }  // namespace ones::sched

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/ones_scheduler.hpp"
 #include "energy/meter.hpp"
 #include "energy/power_model.hpp"
@@ -166,6 +168,179 @@ TEST(EnergyMeter, JobPlusOverheadAndNodeDecompositionsBothSumToCluster) {
   EXPECT_NEAR(by_node, cluster, 1e-9 * cluster);
   // Jobs that never existed are billed nothing.
   EXPECT_DOUBLE_EQ(meter.job_joules(JobId{999999}), 0.0);
+}
+
+/// The meter's billing with nothing cached: every call reprices every placed
+/// job, then sums node watts in running_jobs() order and cluster watts in
+/// JobId order, as the meter promises to.
+struct RepricingMeter {
+  RepricingMeter(const PowerModel& m, const cluster::Topology& t,
+                 EnergyMeter::ProfileLookup lookup)
+      : model(m), topo(t), profile_of(std::move(lookup)) {
+    on_assignment(cluster::Assignment(topo.total_gpus()), 0.0);  // all idle at t=0
+  }
+
+  const PowerModel& model;
+  const cluster::Topology& topo;
+  EnergyMeter::ProfileLookup profile_of;
+  double last_t = 0.0;
+  double cluster_w = 0.0;
+  double overhead_w = 0.0;
+  std::map<JobId, double> job_w;
+  std::vector<double> node_w = std::vector<double>(static_cast<std::size_t>(topo.num_nodes()));
+  double cluster_j = 0.0;
+  double overhead_j = 0.0;
+  std::map<JobId, double> job_j;
+  std::vector<double> node_j = std::vector<double>(static_cast<std::size_t>(topo.num_nodes()));
+
+  void on_assignment(const cluster::Assignment& next, double now) {
+    const double dt = now - last_t;
+    if (dt > 0.0) {
+      cluster_j += cluster_w * dt;
+      overhead_j += overhead_w * dt;
+      for (const auto& [job, w] : job_w) job_j[job] += w * dt;
+      for (std::size_t n = 0; n < node_w.size(); ++n) node_j[n] += node_w[n] * dt;
+    }
+    last_t = now;
+    job_w.clear();
+    node_w.assign(node_w.size(), model.node_base_watts());
+    overhead_w = model.node_base_watts() * static_cast<double>(topo.num_nodes());
+    for (const JobId job : next.running_jobs()) {
+      const std::vector<GpuId> gpus = next.gpus_of(job);
+      std::vector<int> batches;
+      for (const GpuId g : gpus) batches.push_back(next.slot(g).local_batch);
+      const cluster::LinkProfile link = topo.link_profile(gpus);
+      double w_job = 0.0;
+      for (std::size_t i = 0; i < gpus.size(); ++i) {
+        const double w = model.worker_watts(*profile_of(job), batches, i, link);
+        node_w[static_cast<std::size_t>(topo.node_of(gpus[i]))] += w;
+        w_job += w;
+      }
+      job_w.emplace(job, w_job);
+    }
+    for (const GpuId g : next.idle_gpus()) {
+      node_w[static_cast<std::size_t>(topo.node_of(g))] += model.idle_gpu_watts();
+      overhead_w += model.idle_gpu_watts();
+    }
+    cluster_w = overhead_w;
+    for (const auto& [job, w] : job_w) cluster_w += w;
+  }
+};
+
+// The meter reprices only the jobs whose GPUs or local batches moved; its
+// watts and joules must still equal, exactly, a meter that reprices every
+// job on every call, over seeded sequences of batch-only changes, GPU moves
+// that keep the batches, placements, evictions, GPU faults and repeated calls
+// at one sim-time.
+TEST(EnergyMeter, CachedDrawsBillExactlyLikeFullRepricing) {
+  cluster::TopologyConfig tc;
+  tc.num_nodes = 4;
+  tc.gpus_per_node = 4;
+  const cluster::Topology topo(tc);
+  const PowerModel pm{PowerConfig{}};
+  const auto& profiles = model::builtin_profiles();
+  const auto profile_of = [&](JobId job) {
+    return &profiles[static_cast<std::size_t>(job) % profiles.size()];
+  };
+  enum Op { Rebatch, Move, Place, Evict, Fault, kOps };
+  std::vector<int> seen(kOps, 0);
+  int same_time_calls = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    EnergyMeter meter(pm, topo, profile_of);
+    RepricingMeter ref(pm, topo, profile_of);
+    cluster::Assignment a(topo.total_gpus());
+    double now = 0.0;
+    JobId next_job = 1;
+    const auto batch_of = [&](JobId job) {
+      return static_cast<int>(rng.uniform_int(1, profile_of(job)->max_local_batch));
+    };
+    for (int step = 0; step < 400; ++step) {
+      const auto op = static_cast<Op>(rng.uniform_int(0, kOps - 1));
+      const std::vector<JobId> running = a.running_jobs();
+      const std::vector<GpuId> idle = a.idle_gpus();
+      if (op == Rebatch && !running.empty()) {
+        const JobId job = running[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(running.size()) - 1))];
+        const auto gpus = a.gpus_of(job);
+        a.set_local_batch(gpus[static_cast<std::size_t>(rng.uniform_int(
+                              0, static_cast<std::int64_t>(gpus.size()) - 1))],
+                          batch_of(job));
+        ++seen[op];
+      } else if (op == Move && !running.empty() && !idle.empty()) {
+        const JobId job = running.front();
+        const GpuId from = a.gpus_of(job).back();
+        const GpuId to = idle[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(idle.size()) - 1))];
+        const int batch = a.slot(from).local_batch;
+        a.clear(from);
+        a.place(to, job, batch);
+        ++seen[op];
+      } else if (op == Place && !idle.empty()) {
+        const JobId job = next_job++;
+        const auto workers = rng.uniform_int(1, std::min<std::int64_t>(6, static_cast<std::int64_t>(idle.size())));
+        std::vector<GpuId> pool = idle;
+        rng.shuffle(pool);
+        for (std::int64_t w = 0; w < workers; ++w) {
+          a.place(pool[static_cast<std::size_t>(w)], job, batch_of(job));
+        }
+        ++seen[op];
+      } else if (op == Evict && !running.empty()) {
+        a.evict(running[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(running.size()) - 1))]);
+        ++seen[op];
+      } else if (op == Fault) {
+        const std::vector<GpuId> down = a.unhealthy_gpus();
+        if (!down.empty() && rng.bernoulli(0.6)) {
+          a.set_health(down[static_cast<std::size_t>(rng.uniform_int(
+                           0, static_cast<std::int64_t>(down.size()) - 1))],
+                       cluster::SlotHealth::Healthy);
+        } else {
+          const auto g = static_cast<GpuId>(rng.uniform_int(0, topo.total_gpus() - 1));
+          a.clear(g);  // ClusterSimulation routes a down GPU's worker into recovery
+          a.set_health(g, cluster::SlotHealth::Failed);
+        }
+        ++seen[op];
+      }
+      if (rng.bernoulli(0.3)) {
+        ++same_time_calls;
+      } else {
+        now += rng.uniform(1.0, 100.0);
+      }
+      meter.on_assignment(a, now);
+      ref.on_assignment(a, now);
+      if (rng.bernoulli(0.1)) {  // an unchanged assignment, again at `now`
+        meter.on_assignment(a, now);
+        ref.on_assignment(a, now);
+      }
+      ASSERT_NO_THROW(meter.audit(a));
+      ASSERT_EQ(meter.cluster_watts(), ref.cluster_w) << "step " << step;
+      ASSERT_EQ(meter.watts_by_node(), ref.node_w) << "step " << step;
+      for (JobId job = 1; job < next_job; ++job) {
+        const auto it = ref.job_w.find(job);
+        ASSERT_EQ(meter.job_watts(job), it == ref.job_w.end() ? 0.0 : it->second)
+            << "step " << step << " job " << job;
+      }
+      ASSERT_EQ(meter.cluster_joules(), ref.cluster_j) << "step " << step;
+      ASSERT_EQ(meter.overhead_joules(), ref.overhead_j) << "step " << step;
+      ASSERT_EQ(meter.joules_by_node(), ref.node_j) << "step " << step;
+      ASSERT_EQ(meter.joules_by_job(), ref.job_j) << "step " << step;
+    }
+
+    // A job placed and evicted within one sim-time is never billed.
+    const JobId ghost = next_job++;
+    if (a.idle_gpus().empty()) a.evict(a.running_jobs().front());
+    a.place(a.idle_gpus().front(), ghost, 1);
+    meter.on_assignment(a, now);
+    a.evict(ghost);
+    meter.on_assignment(a, now);
+    meter.finalize(now + 10.0);
+    EXPECT_EQ(meter.joules_by_job().count(ghost), 0u);
+    EXPECT_EQ(meter.job_joules(ghost), 0.0);
+  }
+  for (int op = 0; op < kOps; ++op) EXPECT_GT(seen[static_cast<std::size_t>(op)], 20) << op;
+  EXPECT_GT(same_time_calls, 100);
 }
 
 TEST(EnergyMeter, AttachingARegistryDoesNotChangeJoules) {

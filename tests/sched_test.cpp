@@ -3,6 +3,8 @@
 // baselines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -20,6 +22,7 @@
 #include "sched/simulation.hpp"
 #include "sched/srtf.hpp"
 #include "sched/tiresias.hpp"
+#include "telemetry/registry.hpp"
 #include "workload/trace.hpp"
 
 namespace ones::sched {
@@ -275,12 +278,185 @@ TEST(DeployPlan, GreedyFitSkipsPastJobsThatDoNotFit) {
   w.views[1].spec.requested_gpus = 3;
   w.views[2].spec.requested_gpus = 2;
   w.live.set_health(7, cluster::SlotHealth::Failed);  // 7 healthy GPUs of 8
-  const auto plan = fit_requested(w.state, {w.view(1), w.view(2), w.view(3)});
+  std::vector<PlannedJob> plan = {{w.view(2), 1}};  // stale: fit_requested clears it
+  fit_requested(w.state, {w.view(1), w.view(2), w.view(3)}, plan);
   ASSERT_EQ(plan.size(), 2u);
   EXPECT_EQ(plan[0].job, w.view(1));
   EXPECT_EQ(plan[0].workers, 5);
   EXPECT_EQ(plan[1].job, w.view(3));  // job 2 would fit only on the down GPU
   EXPECT_EQ(plan[1].workers, 2);
+}
+
+/// A seeded random gang-scheduling state: 16 GPUs on 4 nodes, a few of them
+/// down, and up to 24 jobs whose JobIds are shuffled against arrival order,
+/// with random attained service. About half run, mostly on their requested
+/// GPU count and sometimes on another one.
+struct RandomGangWorld {
+  cluster::Topology topo = [] {
+    cluster::TopologyConfig c;
+    c.num_nodes = 4;
+    c.gpus_per_node = 4;
+    return cluster::Topology(c);
+  }();
+  cluster::Assignment live{topo.total_gpus()};
+  std::vector<JobView> views;
+  ClusterState state;
+  Rng rng;
+
+  explicit RandomGangWorld(std::uint64_t seed) : rng(seed) {
+    const char* models[] = {"ResNet18", "VGG16", "GoogleNet", "ResNet50"};
+    for (std::int64_t k = rng.uniform_int(0, 3); k > 0; --k) {
+      live.set_health(static_cast<GpuId>(rng.uniform_int(0, topo.total_gpus() - 1)),
+                      cluster::SlotHealth::Failed);
+    }
+    const auto n = static_cast<std::size_t>(rng.uniform_int(4, 24));
+    std::vector<JobId> ids;
+    for (JobId id = 1; id <= static_cast<JobId>(3 * n); ++id) ids.push_back(id);
+    rng.shuffle(ids);
+    views.reserve(n);  // the state holds pointers into it
+    for (std::size_t i = 0; i < n; ++i) {
+      JobView v = make_view(ids[i], models[rng.uniform_int(0, 3)], 20000);
+      v.spec.requested_gpus = static_cast<int>(rng.uniform_int(1, 4));
+      v.spec.arrival_time_s = 10.0 * static_cast<double>(i);
+      v.exec_time_s = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 4000.0);
+      views.push_back(v);
+    }
+    for (JobView& v : views) {
+      if (!rng.bernoulli(0.5)) continue;
+      const int workers =
+          rng.bernoulli(0.8) ? v.spec.requested_gpus : static_cast<int>(rng.uniform_int(1, 4));
+      const auto gpus = pick_idle_gpus(live, topo, workers);
+      if (gpus.empty()) continue;
+      place_job_even(live, v.spec.id, gpus, v.spec.requested_batch);
+      v.status = JobStatus::Running;
+      v.gpus = workers;
+      v.global_batch = live.global_batch(v.spec.id);
+    }
+    state.topology = &topo;
+    state.current = &live;
+    state.now = 10.0 * static_cast<double>(n) + rng.uniform(0.0, 5000.0);
+    for (const JobView& v : views) state.add_job(&v);
+  }
+};
+
+/// deploy_plan as it was first written: rebuild from an empty schedule with
+/// the live health map, re-placing every kept job GPU by GPU.
+std::optional<cluster::Assignment> rebuild_plan(const ClusterState& state,
+                                                const std::vector<PlannedJob>& plan) {
+  const cluster::Assignment& live = *state.current;
+  const auto kept = [](const PlannedJob& p) { return p.job->gpus == p.workers; };
+  if (plan.size() == live.running_jobs().size() &&
+      std::all_of(plan.begin(), plan.end(), kept)) {
+    return std::nullopt;
+  }
+  cluster::Assignment next = cluster::Assignment::empty_like(live);
+  for (const PlannedJob& p : plan) {
+    if (!kept(p)) continue;
+    for (GpuId g : live.gpus_of(p.job->spec.id)) {
+      next.place(g, p.job->spec.id, live.slot(g).local_batch);
+    }
+  }
+  for (const PlannedJob& p : plan) {
+    if (kept(p)) continue;
+    place_job_even(next, p.job->spec.id, pick_idle_gpus(next, *state.topology, p.workers),
+                   p.job->spec.requested_batch);
+  }
+  return next;
+}
+
+TEST(DeployPlan, StartingFromTheLiveScheduleEqualsAnEmptyRebuild) {
+  int deployed = 0, kept_some = 0, unchanged = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(seed);
+    RandomGangWorld w(seed);
+    std::vector<PlannedJob> plan;
+    if (w.rng.bernoulli(0.15)) {  // exactly the running set: no change
+      for (const JobView* job : w.state.active_jobs()) {
+        if (job->gpus > 0) plan.push_back({job, job->gpus});
+      }
+    } else {
+      std::vector<const JobView*> jobs = w.state.active_jobs();
+      w.rng.shuffle(jobs);
+      int capacity = w.live.healthy_count();
+      for (const JobView* job : jobs) {
+        const int workers = job->gpus > 0 && w.rng.bernoulli(0.7)
+                                ? job->gpus
+                                : static_cast<int>(w.rng.uniform_int(1, 4));
+        if (workers > capacity || !w.rng.bernoulli(0.8)) continue;
+        plan.push_back({job, workers});
+        capacity -= workers;
+      }
+    }
+    const auto want = rebuild_plan(w.state, plan);
+    const auto have = deploy_plan(w.state, plan);
+    ASSERT_EQ(have.has_value(), want.has_value());
+    if (!have.has_value()) {
+      ++unchanged;
+      continue;
+    }
+    ++deployed;
+    kept_some += std::any_of(plan.begin(), plan.end(),
+                             [](const PlannedJob& p) { return p.job->gpus == p.workers; });
+    EXPECT_EQ(*have, *want) << have->to_string() << " vs " << want->to_string();
+    EXPECT_EQ(have->running_jobs(), want->running_jobs());
+    EXPECT_EQ(have->idle_gpus(), want->idle_gpus());
+    EXPECT_EQ(have->unhealthy_gpus(), w.live.unhealthy_gpus());
+    EXPECT_NO_THROW(have->audit_indexes());
+  }
+  EXPECT_GT(deployed, 150);
+  EXPECT_GT(kept_some, 100);
+  EXPECT_GT(unchanged, 20);
+}
+
+// Tiresias walks the active jobs into one bucket per queue; the result must
+// be the plain (queue, JobId) sort, with and without STARVE-FREE promotion
+// and with JobIds out of arrival order.
+TEST(Tiresias, BucketedOrderEqualsAQueueThenIdSort) {
+  for (const double knob : {0.0, 1.0}) {
+    TiresiasConfig cfg;
+    cfg.promote_knob = knob;
+    TiresiasScheduler tiresias(cfg);
+    int deployed = 0, promoted = 0;
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+      SCOPED_TRACE(seed);
+      RandomGangWorld w(seed);
+      struct Cand {
+        const JobView* job;
+        int queue;
+      };
+      std::vector<Cand> cands;
+      for (const JobView* job : w.state.active_jobs()) {
+        int q = tiresias.queue_of(*job);
+        const double waited = w.state.now - job->spec.arrival_time_s - job->exec_time_s;
+        if (knob > 0.0 && job->status == JobStatus::Waiting && job->exec_time_s > 0.0 &&
+            waited > knob * job->exec_time_s) {
+          promoted += q > 0;
+          q = 0;
+        }
+        cands.push_back({job, q});
+      }
+      std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
+        return a.queue != b.queue ? a.queue < b.queue : a.job->spec.id < b.job->spec.id;
+      });
+      std::vector<const JobView*> ordered;
+      for (const Cand& c : cands) ordered.push_back(c.job);
+      std::vector<PlannedJob> plan;
+      fit_requested(w.state, ordered, plan);
+      const auto want = deploy_plan(w.state, plan);
+      for (int call = 0; call < 2; ++call) {  // the kept scratch must not leak between calls
+        const auto have = tiresias.on_event(w.state, {});
+        ASSERT_EQ(have.has_value(), want.has_value());
+        if (have.has_value()) {
+          EXPECT_EQ(*have, *want);
+        }
+      }
+      deployed += want.has_value();
+    }
+    EXPECT_GT(deployed, 200);
+    if (knob > 0.0) {
+      EXPECT_GT(promoted, 50);
+    }
+  }
 }
 
 SimulationConfig small_sim_config() {
@@ -447,6 +623,93 @@ TEST(Tiresias, CompletesTraceAndPreempts) {
   ClusterSimulation sim(small_sim_config(), workload::generate_trace(tc), t);
   sim.run();
   EXPECT_TRUE(sim.all_completed());
+}
+
+/// Forwards to a policy and folds every decision into an FNV-1a-64 digest:
+/// a marker for "keep the schedule", or the whole slot array it deployed.
+class DigestingPolicy : public Scheduler {
+ public:
+  explicit DigestingPolicy(Scheduler& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  ScalingMechanism mechanism() const override { return inner_.mechanism(); }
+  double period_s() const override { return inner_.period_s(); }
+  std::optional<cluster::Assignment> on_event(const ClusterState& state,
+                                              const SchedulerEvent& event) override {
+    auto next = inner_.on_event(state, event);
+    mix(next.has_value() ? 1 : 0);
+    if (next.has_value()) {
+      for (GpuId g = 0; g < next->num_gpus(); ++g) {
+        const cluster::Slot& s = next->slot(g);
+        mix(static_cast<std::uint64_t>(s.job));
+        mix(static_cast<std::uint64_t>(s.local_batch));
+        mix(static_cast<std::uint64_t>(s.health));
+      }
+    }
+    return next;
+  }
+  void mix(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h_ ^= (v >> (8 * byte)) & 0xffULL;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void mix_double(double d) { mix(std::bit_cast<std::uint64_t>(d)); }
+  std::uint64_t digest() const { return h_; }
+
+ private:
+  Scheduler& inner_;
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+// Decision pin for Tiresias and the shared gang rebuild (deploy_plan), with
+// the energy meter's joules: a seeded busy run on 64 GPUs with GPU and node
+// faults (checkpoint restarts), killed jobs, and JobIds shuffled against
+// arrival order. The digest covers every slot array the policy deployed and
+// the bit patterns of the cluster, overhead, per-node and per-job joules.
+// Re-pin only for an intended decision or billing change.
+TEST(Tiresias, DecisionsArePinned) {
+  SimulationConfig config;
+  config.topology.num_nodes = 16;  // 64 GPUs
+  config.fault.gpu_mtbf_s = 20000.0;
+  config.fault.node_mtbf_s = 8000.0;
+  telemetry::MetricsRegistry registry;
+  config.metrics = &registry;
+  workload::TraceConfig tc;
+  tc.num_jobs = 240;
+  tc.mean_interarrival_s = 4.0;
+  tc.max_requested_gpus = 8;
+  tc.abnormal_fraction = 0.2;
+  tc.seed = 61;
+  auto trace = workload::generate_trace(tc);
+  std::vector<JobId> ids;
+  for (const auto& spec : trace) ids.push_back(spec.id);
+  Rng rng(5);
+  rng.shuffle(ids);
+  for (std::size_t i = 0; i < trace.size(); ++i) trace[i].id = ids[i];
+
+  TiresiasScheduler tiresias;
+  DigestingPolicy policy(tiresias);
+  ClusterSimulation sim(config, trace, policy);
+  sim.run();
+  ASSERT_TRUE(sim.all_completed());
+  EXPECT_GT(registry.counter_value("fault_job_restarts_total"), 0.0);
+  EXPECT_GT(registry.counter_value("fault_gpu_down_total"), 0.0);
+  int killed = 0;
+  for (const auto& spec : trace) {
+    if (spec.kill_after_s > 0.0 && sim.metrics().job(spec.id).aborted) ++killed;
+  }
+  EXPECT_GT(killed, 0);
+
+  const energy::EnergyMeter& meter = sim.energy();
+  policy.mix_double(meter.cluster_joules());
+  policy.mix_double(meter.overhead_joules());
+  for (const double j : meter.joules_by_node()) policy.mix_double(j);
+  for (const auto& [job, j] : meter.joules_by_job()) {
+    policy.mix(static_cast<std::uint64_t>(job));
+    policy.mix_double(j);
+  }
+  policy.mix(sim.deployments());
+  EXPECT_EQ(policy.digest(), 0xd8d2811447ef2cfdULL) << std::hex << "digest 0x" << policy.digest();
 }
 
 TEST(Optimus, PredictsFromPriorWithoutHistory) {
