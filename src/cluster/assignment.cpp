@@ -41,11 +41,6 @@ Assignment::Assignment(int num_gpus) : slots_(static_cast<std::size_t>(num_gpus)
   for (int g = 0; g < num_gpus; ++g) idle_[static_cast<std::size_t>(g)] = g;
 }
 
-const Slot& Assignment::slot(GpuId gpu) const {
-  ONES_EXPECT(gpu >= 0 && gpu < num_gpus());
-  return slots_[static_cast<std::size_t>(gpu)];
-}
-
 const Assignment::JobStat* Assignment::find_stat(JobId job) const {
   const auto it = std::lower_bound(
       jobs_.begin(), jobs_.end(), job,
@@ -438,21 +433,42 @@ void Assignment::audit_indexes() const {
 
 AssignmentDelta diff(const Assignment& prev, const Assignment& next) {
   ONES_EXPECT(prev.num_gpus() == next.num_gpus());
-  AssignmentDelta d;
-  // Output order comes from running_jobs() (first-occurrence); membership is
-  // one job-index lookup.
-  for (const JobId j : next.running_jobs()) {
-    if (prev.gpu_count(j) == 0) {
-      d.started.push_back(j);
-      continue;
+  // (lowest GPU, job) per list, so a sort restores first-occurrence order.
+  std::vector<std::pair<GpuId, JobId>> started, stopped, reconfigured;
+  const auto moved = [&](const PlacedJob& a, const PlacedJob& b) {
+    if (a.global_batch != b.global_batch || !std::ranges::equal(a.gpus, b.gpus)) return true;
+    for (const GpuId g : a.gpus) {
+      if (prev.slot(g).local_batch != next.slot(g).local_batch) return true;
     }
-    // Same job on both sides: did its placement or batches change?
-    (prev.same_placement(next, j) ? d.unchanged : d.reconfigured).push_back(j);
+    return false;
+  };
+  const int prev_jobs = prev.placed_count();
+  const int next_jobs = next.placed_count();
+  int i = 0;
+  int k = 0;
+  while (i < prev_jobs || k < next_jobs) {
+    if (k == next_jobs || (i < prev_jobs && prev.placed(i).job < next.placed(k).job)) {
+      const PlacedJob a = prev.placed(i++);
+      stopped.emplace_back(a.gpus.front(), a.job);
+    } else if (i == prev_jobs || next.placed(k).job < prev.placed(i).job) {
+      const PlacedJob b = next.placed(k++);
+      started.emplace_back(b.gpus.front(), b.job);
+    } else {
+      const PlacedJob a = prev.placed(i++);
+      const PlacedJob b = next.placed(k++);
+      if (moved(a, b)) reconfigured.emplace_back(b.gpus.front(), b.job);
+    }
   }
-  for (const JobId j : prev.running_jobs()) {
-    if (next.gpu_count(j) == 0) d.stopped.push_back(j);
-  }
-  return d;
+  const auto by_front = [](std::vector<std::pair<GpuId, JobId>>& list) {
+    std::sort(list.begin(), list.end());
+    std::vector<JobId> jobs;
+    jobs.reserve(list.size());
+    for (const auto& entry : list) jobs.push_back(entry.second);
+    return jobs;
+  };
+  return {.started = by_front(started),
+          .stopped = by_front(stopped),
+          .reconfigured = by_front(reconfigured)};
 }
 
 }  // namespace ones::cluster

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/expect.hpp"
 #include "common/ids.hpp"
 
 namespace ones::cluster {
@@ -45,6 +46,14 @@ struct Slot {
   bool operator==(const Slot&) const = default;
 };
 
+/// One entry of the JobId-sorted job index, read in place: valid until the
+/// next mutation of the Assignment it came from.
+struct PlacedJob {
+  JobId job = kInvalidJob;
+  int global_batch = 0;          ///< B_j
+  std::span<const GpuId> gpus;   ///< the job's GPUs, ascending (never empty)
+};
+
 /// One job's placement as the throughput model reads it (Eq. 2 plus the
 /// straggler), summarised from the per-job index without copying it.
 struct JobPlacement {
@@ -61,7 +70,10 @@ class Assignment {
   explicit Assignment(int num_gpus);
 
   int num_gpus() const { return static_cast<int>(slots_.size()); }
-  const Slot& slot(GpuId gpu) const;
+  const Slot& slot(GpuId gpu) const {
+    ONES_EXPECT(gpu >= 0 && gpu < num_gpus());
+    return slots_[static_cast<std::size_t>(gpu)];
+  }
 
   /// Place a worker of `job` on `gpu` with `local_batch` >= 1 samples.
   /// Overwrites whatever was there (preemption is the caller's policy call).
@@ -129,6 +141,14 @@ class Assignment {
   /// masks them). Valid until the next mutation.
   const std::vector<GpuId>& idle_gpus() const { return idle_; }
   int idle_count() const;
+  /// Number of placed jobs, and the i-th of them in ascending JobId order
+  /// (0 <= i < placed_count()): the job index itself, with no lookup or copy,
+  /// for merge walks of two schedules in JobId order.
+  int placed_count() const { return static_cast<int>(jobs_.size()); }
+  PlacedJob placed(int i) const {
+    const JobStat& stat = jobs_[static_cast<std::size_t>(i)];
+    return {stat.job, stat.batch, segment(stat)};
+  }
 
   /// True iff `job` occupies the same GPUs with the same local batches in
   /// both schedules (also true when it is absent from both). This is the
@@ -218,14 +238,17 @@ class Assignment {
 };
 
 /// Difference between two schedules, used to charge scaling costs only to
-/// jobs whose configuration actually changed.
+/// jobs whose configuration actually changed. Each list is in first-
+/// occurrence order (ascending lowest GPU): `stopped` by the jobs' GPUs in
+/// `prev`, the other two by their GPUs in `next`.
 struct AssignmentDelta {
   std::vector<JobId> started;      ///< jobs with workers only in `next`
   std::vector<JobId> stopped;      ///< jobs with workers only in `prev`
   std::vector<JobId> reconfigured; ///< jobs whose worker set or batches changed
-  std::vector<JobId> unchanged;
 };
 
+/// One merge walk of both job indexes in JobId order: O(R + the GPUs of the
+/// jobs placed on both sides), no lookups, plus a sort of each (short) list.
 AssignmentDelta diff(const Assignment& prev, const Assignment& next);
 
 }  // namespace ones::cluster

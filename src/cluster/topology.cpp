@@ -12,11 +12,6 @@ Topology::Topology(const TopologyConfig& config) : config_(config) {
   ONES_EXPECT(config.intra_node_bw_Bps > 0.0 && config.inter_node_bw_Bps > 0.0);
 }
 
-NodeId Topology::node_of(GpuId gpu) const {
-  ONES_EXPECT(gpu >= 0 && gpu < total_gpus());
-  return gpu / config_.gpus_per_node;
-}
-
 std::vector<GpuId> Topology::gpus_of(NodeId node) const {
   ONES_EXPECT(node >= 0 && node < config_.num_nodes);
   std::vector<GpuId> out;

@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "common/expect.hpp"
 #include "common/ids.hpp"
 
 namespace ones::cluster {
@@ -40,7 +41,10 @@ class Topology {
   int num_nodes() const { return config_.num_nodes; }
   int gpus_per_node() const { return config_.gpus_per_node; }
 
-  NodeId node_of(GpuId gpu) const;
+  NodeId node_of(GpuId gpu) const {
+    ONES_EXPECT(gpu >= 0 && gpu < total_gpus());
+    return gpu / config_.gpus_per_node;
+  }
   std::vector<GpuId> gpus_of(NodeId node) const;
 
   /// Number of distinct nodes touched by a worker set.

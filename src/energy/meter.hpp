@@ -19,9 +19,10 @@
 // exported `cluster_watts` timeline.
 //
 // Each placed job's draw is cached: a schedule change reprices only the jobs
-// whose GPUs or local batches moved, while node and cluster watts are re-
-// summed in the fixed order every time, so joules are bit-for-bit those of a
-// full repricing (DESIGN.md §10; `audit` checks it).
+// whose GPUs or local batches moved, and re-sums only the nodes those jobs
+// (and any GPU whose health changed) touch, in the fixed order a full
+// re-sum uses, so joules are bit-for-bit those of a full repricing
+// (DESIGN.md §10; `audit` checks it).
 //
 // Determinism: watts derive from PowerModel (pure), intervals from the sim
 // clock. The optional MetricsRegistry follows the §9 contract — null by
@@ -30,6 +31,7 @@
 
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "cluster/assignment.hpp"
@@ -95,15 +97,15 @@ class EnergyMeter {
   const std::vector<double>& joules_by_node() const { return joules_by_node_; }
 
  private:
-  /// One worker of a priced job: where it runs, its local batch, its watts.
+  /// One worker of a priced job: where it runs and its local batch (its
+  /// watts are gpu_watts_[gpu]).
   struct Worker {
     GpuId gpu = -1;
     int local_batch = 0;
-    double watts = 0.0;
     bool operator==(const Worker&) const = default;
   };
   /// One placed job's priced draw; its workers are workers_[begin, begin +
-  /// count), in ascending GPU order. Flat, so sorting draws moves no heap.
+  /// count), in ascending GPU order.
   struct Draw {
     JobId job = kInvalidJob;
     int begin = 0;
@@ -115,10 +117,17 @@ class EnergyMeter {
   };
 
   void accumulate(double now);
+  /// Merge-walk the cached draws against `next`'s job index (both in JobId
+  /// order), reprice the jobs that moved, then re-sum the touched nodes.
   void rescan(const cluster::Assignment& next);
+  /// Mark the node of `gpu` for re-summing at the end of the next rescan.
+  void touch(GpuId gpu);
+  void touch_all_nodes();
+  /// Node watts in the order a full re-sum adds them: base power, then the
+  /// node's workers by their job's cluster-wide lowest GPU and ascending
+  /// within a job, then its idle GPUs ascending.
+  void resum_node(const cluster::Assignment& next, NodeId node);
   void publish(double now);
-  /// The cached draw of `job`, or nullptr (binary search: JobId order).
-  const Draw* find_draw(JobId job) const;
 
   const PowerModel* model_;
   const cluster::Topology* topology_;
@@ -130,12 +139,27 @@ class EnergyMeter {
   std::vector<Draw> draws_;      ///< one per placed job, ascending by JobId
   std::vector<Worker> workers_;  ///< every draw's workers
   std::vector<double> watts_by_node_;
-  // rescan's scratch: the next draws and workers (swapped in), and the GPU
-  // and batch vectors a repriced job is handed to the power model in.
+  /// overhead_by_idle_[k]: all nodes' base power plus k idle GPUs, summed
+  /// one GPU at a time (the full re-sum's order).
+  std::vector<double> overhead_by_idle_;
+  /// Per GPU, the watts of the worker on it and its job's lowest GPU: written
+  /// when the job is priced, read only while the GPU still runs that job
+  /// (a job keeps both until it is repriced, since both move only with its
+  /// GPUs or batches).
+  std::vector<double> gpu_watts_;
+  std::vector<GpuId> gpu_front_;
+  /// The down GPUs of the last rescan, to find health changes.
+  std::vector<GpuId> down_;
+  // rescan's scratch: the next draws and workers (swapped in), the GPU and
+  // batch vectors a repriced job is handed to the power model in, the nodes
+  // to re-sum, and one node's (lowest GPU of the job, GPU) worker keys.
   std::vector<Draw> next_draws_;
   std::vector<Worker> next_workers_;
   std::vector<GpuId> gpus_scratch_;
   std::vector<int> batches_scratch_;
+  std::vector<char> node_touched_;
+  std::vector<NodeId> touched_nodes_;
+  std::vector<std::pair<GpuId, GpuId>> node_workers_;
 
   double cluster_joules_ = 0.0;
   double overhead_joules_ = 0.0;

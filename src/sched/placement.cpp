@@ -10,43 +10,60 @@ std::vector<GpuId> pick_idle_gpus(const cluster::Assignment& assignment,
                                   const cluster::Topology& topology, int count) {
   ONES_EXPECT(count >= 1);
   if (assignment.idle_count() < count) return {};
-
-  // Free GPUs per node.
-  std::vector<std::vector<GpuId>> free_by_node(static_cast<std::size_t>(topology.num_nodes()));
-  for (GpuId g : assignment.idle_gpus()) {
-    free_by_node[static_cast<std::size_t>(topology.node_of(g))].push_back(g);
-  }
+  // idle_gpus() ascends, so each node's free GPUs are one run of it.
+  const std::vector<GpuId>& idle = assignment.idle_gpus();
+  const auto run_end = [&](std::size_t begin) {
+    const NodeId node = topology.node_of(idle[begin]);
+    std::size_t end = begin + 1;
+    while (end < idle.size() && topology.node_of(idle[end]) == node) ++end;
+    return end;
+  };
 
   // Best fit: the node with the *fewest* free GPUs that still fits the set,
-  // to preserve large holes for large jobs.
-  int best_node = -1;
-  for (int n = 0; n < topology.num_nodes(); ++n) {
-    const int free = static_cast<int>(free_by_node[static_cast<std::size_t>(n)].size());
-    if (free >= count &&
-        (best_node < 0 ||
-         free < static_cast<int>(free_by_node[static_cast<std::size_t>(best_node)].size()))) {
-      best_node = n;
+  // to preserve large holes for large jobs (the first such node on a tie). A
+  // node with exactly `count` free GPUs cannot be beaten.
+  std::size_t best_begin = 0;
+  std::size_t best_size = 0;
+  for (std::size_t begin = 0; begin < idle.size();) {
+    const std::size_t end = run_end(begin);
+    const std::size_t size = end - begin;
+    if (size >= static_cast<std::size_t>(count) && (best_size == 0 || size < best_size)) {
+      best_begin = begin;
+      best_size = size;
+      if (size == static_cast<std::size_t>(count)) break;
     }
+    begin = end;
   }
-  std::vector<GpuId> out;
-  if (best_node >= 0) {
-    const auto& pool = free_by_node[static_cast<std::size_t>(best_node)];
-    out.assign(pool.begin(), pool.begin() + count);
-    return out;
+  if (best_size > 0) {
+    const auto first = idle.begin() + static_cast<std::ptrdiff_t>(best_begin);
+    return {first, first + count};
   }
 
-  // Spill: take from the emptiest nodes first to minimize the span.
-  std::vector<int> order(static_cast<std::size_t>(topology.num_nodes()));
-  for (int n = 0; n < topology.num_nodes(); ++n) order[static_cast<std::size_t>(n)] = n;
+  // Spill: take from the emptiest nodes first to minimize the span. Every
+  // node id is sorted, empty ones included, so std::sort breaks ties exactly
+  // as it always has.
+  const auto nodes = static_cast<std::size_t>(topology.num_nodes());
+  std::vector<int> free(nodes, 0);
+  std::vector<std::size_t> run_begin(nodes, 0);
+  for (std::size_t begin = 0; begin < idle.size();) {
+    const std::size_t end = run_end(begin);
+    const auto n = static_cast<std::size_t>(topology.node_of(idle[begin]));
+    free[n] = static_cast<int>(end - begin);
+    run_begin[n] = begin;
+    begin = end;
+  }
+  std::vector<int> order(nodes);
+  for (std::size_t n = 0; n < nodes; ++n) order[n] = static_cast<int>(n);
   std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return free_by_node[static_cast<std::size_t>(a)].size() >
-           free_by_node[static_cast<std::size_t>(b)].size();
+    return free[static_cast<std::size_t>(a)] > free[static_cast<std::size_t>(b)];
   });
-  for (int n : order) {
-    for (GpuId g : free_by_node[static_cast<std::size_t>(n)]) {
-      if (static_cast<int>(out.size()) == count) return out;
-      out.push_back(g);
-    }
+  std::vector<GpuId> out;
+  out.reserve(static_cast<std::size_t>(count));
+  for (const int n : order) {
+    const auto first = idle.begin() + static_cast<std::ptrdiff_t>(run_begin[static_cast<std::size_t>(n)]);
+    const int take = std::min(free[static_cast<std::size_t>(n)], count - static_cast<int>(out.size()));
+    out.insert(out.end(), first, first + take);
+    if (static_cast<int>(out.size()) == count) return out;
   }
   ONES_EXPECT(static_cast<int>(out.size()) == count);
   return out;

@@ -204,6 +204,18 @@ const ClusterState& ClusterSimulation::make_state() {
 void ClusterSimulation::audit_state() const {
   current_.audit_indexes();
   energy_.audit(current_);  // every change to current_ reached the meter
+  // validate() checks only the jobs a deployment starts or reconfigures; the
+  // rest keep their placement here, so it must satisfy the same checks.
+  for (int i = 0; i < current_.placed_count(); ++i) {
+    const cluster::PlacedJob p = current_.placed(i);
+    const JobView& view = runtime(p.job).view;
+    ONES_EXPECT_MSG(view.status == JobStatus::Running,
+                    "live schedule places a job that is not Running");
+    for (const GpuId g : p.gpus) {
+      ONES_EXPECT_MSG(current_.slot(g).local_batch <= view.profile->max_local_batch,
+                      "live schedule exceeds a job's GPU memory limit");
+    }
+  }
   if (injector_ != nullptr) {
     for (GpuId g = 0; g < topology_.total_gpus(); ++g) {
       ONES_EXPECT_MSG(current_.health(g) == injector_->health(g),
@@ -624,9 +636,10 @@ void ClusterSimulation::notify(EventKind kind, JobId job) {
   if (config_.audit_incremental) audit_state();
 }
 
-void ClusterSimulation::validate(const cluster::Assignment& next) const {
+cluster::AssignmentDelta ClusterSimulation::validate(const cluster::Assignment& next) const {
   ONES_EXPECT_MSG(next.num_gpus() == topology_.total_gpus(),
                   "assignment sized for a different cluster");
+  cluster::AssignmentDelta delta = cluster::diff(current_, next);
   next.check_invariants();
   // I9: the scheduler must carry the live health map and never claim a down
   // GPU. Every scheduler starts from current_ (copy or empty_like), so a
@@ -639,23 +652,29 @@ void ClusterSimulation::validate(const cluster::Assignment& next) const {
     ONES_EXPECT_MSG(!next.slot(g).occupied(),
                     "assignment places a worker on a down GPU (I9)");
   }
-  for (JobId j : next.running_jobs()) {
+  // A job the delta leaves out keeps its placement in current_, where it is
+  // Running within its batch limit (audit_state checks that), so only the
+  // started and reconfigured jobs need the per-job checks.
+  const auto check_job = [&](JobId j) {
     auto it = runtimes_.find(j);
     ONES_EXPECT_MSG(it != runtimes_.end(), "assignment references unknown job");
     const auto& rt = it->second;
     ONES_EXPECT_MSG(rt.view.status != JobStatus::Completed,
                     "assignment references a completed job");
     ONES_EXPECT_MSG(rt.dynamics != nullptr, "assignment references a job not yet arrived");
-    for (GpuId g : next.gpus_of(j)) {
+    for (GpuId g : next.worker_gpus(j)) {
       ONES_EXPECT_MSG(next.slot(g).local_batch <= rt.view.profile->max_local_batch,
                       "local batch exceeds the GPU memory limit");
     }
-  }
+  };
+  for (const JobId j : delta.started) check_job(j);
+  for (const JobId j : delta.reconfigured) check_job(j);
+  return delta;
 }
 
 void ClusterSimulation::apply(cluster::Assignment next) {
   const prof::Scope span(profiler_, "apply");
-  validate(next);
+  const cluster::AssignmentDelta delta = validate(next);
   const double now = engine_.now();
   ++deployments_;
   if (registry_ != nullptr) registry_->counter("sim_deployments_total").add();
@@ -663,7 +682,6 @@ void ClusterSimulation::apply(cluster::Assignment next) {
   // Account all in-flight progress before changing anything.
   for (JobId j : current_.running_jobs()) accrue(j, now);
 
-  const cluster::AssignmentDelta delta = cluster::diff(current_, next);
   for (JobId j : delta.stopped) stop_job(j, now);
   // The cost model needs each reconfigured job's previous shape; then install
   // the new allocation before computing placement-dependent costs.

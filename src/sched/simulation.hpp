@@ -146,7 +146,11 @@ class ClusterSimulation {
   void maybe_halt_faults();
   void notify(EventKind kind, JobId job);
   void apply(cluster::Assignment next);
-  void validate(const cluster::Assignment& next) const;
+  /// The delta from current_ to `next`, after rejecting a deployment that
+  /// breaks the cluster's or the jobs' contracts: size, slot invariants and
+  /// health (I9) over the whole schedule, and the per-job checks over the
+  /// jobs the delta starts or reconfigures.
+  cluster::AssignmentDelta validate(const cluster::Assignment& next) const;
 
   void accrue(JobId job, double now);
   /// Start (or resume) a job on its GPUs in the installed `current_`.

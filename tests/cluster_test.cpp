@@ -287,7 +287,9 @@ TEST(AssignmentDiff, ClassifiesChanges) {
   next.place(5, 5, 32);
 
   const auto d = diff(prev, next);
-  EXPECT_EQ(d.unchanged, (std::vector<JobId>{1}));
+  for (const auto* list : {&d.started, &d.stopped, &d.reconfigured}) {
+    EXPECT_EQ(std::count(list->begin(), list->end(), JobId{1}), 0);  // unchanged
+  }
   EXPECT_EQ(d.stopped, (std::vector<JobId>{2}));
   EXPECT_EQ(d.started, (std::vector<JobId>{3}));
   ASSERT_EQ(d.reconfigured.size(), 2u);
@@ -304,6 +306,97 @@ TEST(AssignmentDiff, GrowingWorkerSetIsReconfigured) {
   EXPECT_EQ(d.reconfigured, (std::vector<JobId>{1}));
   EXPECT_TRUE(d.started.empty());
   EXPECT_TRUE(d.stopped.empty());
+}
+
+/// diff() as a per-job lookup: lists in running_jobs() order, membership
+/// by gpu_count, change by same_placement.
+AssignmentDelta reference_diff(const Assignment& prev, const Assignment& next) {
+  AssignmentDelta d;
+  for (const JobId j : next.running_jobs()) {
+    if (prev.gpu_count(j) == 0) {
+      d.started.push_back(j);
+    } else if (!prev.same_placement(next, j)) {
+      d.reconfigured.push_back(j);
+    }
+  }
+  for (const JobId j : prev.running_jobs()) {
+    if (next.gpu_count(j) == 0) d.stopped.push_back(j);
+  }
+  return d;
+}
+
+// The merge walk must give the per-job reference's three lists in the same
+// order, over seeded schedule pairs with down GPUs, JobIds unrelated to GPU
+// order, moves of a job's lowest GPU (which reorder first occurrence) and
+// batch-only changes.
+TEST(Diff, MergeWalkEqualsPerJobReference) {
+  enum Op { Evict, Place, MoveFront, Rebatch, Down, Heal, kOps };
+  std::vector<int> seen(kOps, 0);
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const auto pick = [&](const auto& v) {
+      return v[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(v.size()) - 1))];
+    };
+    const auto place_new = [&](Assignment& a) {
+      std::vector<GpuId> idle = a.idle_gpus();
+      if (idle.empty()) return false;
+      JobId job = 0;
+      do {
+        job = static_cast<JobId>(rng.uniform_int(1, 40));
+      } while (a.gpu_count(job) > 0);
+      rng.shuffle(idle);
+      const auto workers = rng.uniform_int(1, std::min<std::int64_t>(5, static_cast<std::int64_t>(idle.size())));
+      for (std::int64_t w = 0; w < workers; ++w) {
+        a.place(idle[static_cast<std::size_t>(w)], job, static_cast<int>(rng.uniform_int(1, 64)));
+      }
+      return true;
+    };
+    Assignment prev(16);
+    for (GpuId g = 0; g < 16; ++g) {
+      if (rng.bernoulli(0.1)) prev.set_health(g, SlotHealth::Failed);
+    }
+    for (std::int64_t k = rng.uniform_int(0, 5); k > 0; --k) place_new(prev);
+
+    Assignment next = prev;
+    for (std::int64_t k = rng.uniform_int(0, 5); k > 0; --k) {
+      const auto op = static_cast<Op>(rng.uniform_int(0, kOps - 1));
+      const std::vector<JobId> running = next.running_jobs();
+      const std::vector<GpuId> idle = next.idle_gpus();
+      if (op == Evict && !running.empty()) {
+        next.evict(pick(running));
+      } else if (op == Place) {
+        if (!place_new(next)) continue;
+      } else if (op == MoveFront && !running.empty() && !idle.empty()) {
+        const JobId job = pick(running);
+        const GpuId front = next.worker_gpus(job).front();
+        const int batch = next.slot(front).local_batch;
+        next.clear(front);
+        next.place(pick(idle), job, batch);
+      } else if (op == Rebatch && !running.empty()) {
+        const JobId job = pick(running);
+        const auto gpus = next.gpus_of(job);
+        next.set_local_batch(pick(gpus), static_cast<int>(rng.uniform_int(1, 64)));
+      } else if (op == Down) {
+        const auto g = static_cast<GpuId>(rng.uniform_int(0, 15));
+        next.clear(g);
+        next.set_health(g, SlotHealth::Failed);
+      } else if (op == Heal && !next.unhealthy_gpus().empty()) {
+        next.set_health(pick(next.unhealthy_gpus()), SlotHealth::Healthy);
+      } else {
+        continue;
+      }
+      ++seen[op];
+    }
+
+    const AssignmentDelta have = diff(prev, next);
+    const AssignmentDelta want = reference_diff(prev, next);
+    EXPECT_EQ(have.started, want.started);
+    EXPECT_EQ(have.stopped, want.stopped);
+    EXPECT_EQ(have.reconfigured, want.reconfigured);
+  }
+  for (int op = 0; op < kOps; ++op) EXPECT_GT(seen[static_cast<std::size_t>(op)], 50) << op;
 }
 
 TEST(AssignmentDiff, RequiresSameClusterSize) {

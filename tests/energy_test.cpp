@@ -227,11 +227,15 @@ struct RepricingMeter {
   }
 };
 
-// The meter reprices only the jobs whose GPUs or local batches moved; its
-// watts and joules must still equal, exactly, a meter that reprices every
-// job on every call, over seeded sequences of batch-only changes, GPU moves
-// that keep the batches, placements, evictions, GPU faults and repeated calls
-// at one sim-time.
+// The meter reprices only the jobs whose GPUs or local batches moved and re-
+// sums only the nodes they (or a health change) touch; its watts and joules
+// must still equal, exactly, a meter that reprices every job on every call,
+// over seeded sequences of batch-only changes, GPU moves that keep the
+// batches, placements, evictions, GPU faults and repeated calls at one
+// sim-time. Two cases reorder a node's sum without repricing every job on
+// it: a two-node job whose lowest GPU moves to another node while another
+// job shares the node it keeps (the node's jobs sort by cluster-wide lowest
+// GPU), and an occupied GPU that goes down with its worker still placed.
 TEST(EnergyMeter, CachedDrawsBillExactlyLikeFullRepricing) {
   cluster::TopologyConfig tc;
   tc.num_nodes = 4;
@@ -242,7 +246,7 @@ TEST(EnergyMeter, CachedDrawsBillExactlyLikeFullRepricing) {
   const auto profile_of = [&](JobId job) {
     return &profiles[static_cast<std::size_t>(job) % profiles.size()];
   };
-  enum Op { Rebatch, Move, Place, Evict, Fault, kOps };
+  enum Op { Rebatch, Move, Place, Evict, Fault, MoveFront, DownBusy, kOps };
   std::vector<int> seen(kOps, 0);
   int same_time_calls = 0;
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
@@ -302,6 +306,38 @@ TEST(EnergyMeter, CachedDrawsBillExactlyLikeFullRepricing) {
           a.set_health(g, cluster::SlotHealth::Failed);
         }
         ++seen[op];
+      } else if (op == MoveFront) {
+        // A job on >= 2 nodes, another job on a node it keeps, and an idle
+        // GPU off its lowest GPU's node.
+        for (const JobId job : running) {
+          const auto gpus = a.gpus_of(job);
+          const NodeId front_node = topo.node_of(gpus.front());
+          const bool shares_kept_node = std::any_of(gpus.begin() + 1, gpus.end(), [&](GpuId g) {
+            const NodeId n = topo.node_of(g);
+            if (n == front_node) return false;
+            for (GpuId h = n * tc.gpus_per_node; h < (n + 1) * tc.gpus_per_node; ++h) {
+              if (a.slot(h).occupied() && a.slot(h).job != job) return true;
+            }
+            return false;
+          });
+          const auto to = std::find_if(idle.begin(), idle.end(),
+                                       [&](GpuId g) { return topo.node_of(g) != front_node; });
+          if (!shares_kept_node || to == idle.end()) continue;
+          const int batch = a.slot(gpus.front()).local_batch;
+          a.clear(gpus.front());
+          a.place(*to, job, batch);
+          ++seen[op];
+          break;
+        }
+      } else if (op == DownBusy && !running.empty()) {
+        const JobId job = running[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(running.size()) - 1))];
+        for (const GpuId g : a.worker_gpus(job)) {
+          if (!a.slot(g).healthy()) continue;
+          a.set_health(g, cluster::SlotHealth::Failed);  // its worker stays placed
+          ++seen[op];
+          break;
+        }
       }
       if (rng.bernoulli(0.3)) {
         ++same_time_calls;

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -166,6 +167,86 @@ TEST(Placement, ReturnsEmptyWhenInsufficient) {
   cluster::Assignment a(topo.total_gpus());
   for (int g = 0; g < 7; ++g) a.place(g, 9, 8);
   EXPECT_TRUE(pick_idle_gpus(a, topo, 2).empty());
+}
+
+/// pick_idle_gpus as it was first written: one free-GPU list per node, a
+/// best-fit scan over them, and a spill over every node id sorted by free
+/// count with std::sort.
+std::vector<GpuId> reference_pick_idle_gpus(const cluster::Assignment& assignment,
+                                            const cluster::Topology& topology, int count) {
+  if (assignment.idle_count() < count) return {};
+  std::vector<std::vector<GpuId>> free_by_node(static_cast<std::size_t>(topology.num_nodes()));
+  for (GpuId g : assignment.idle_gpus()) {
+    free_by_node[static_cast<std::size_t>(topology.node_of(g))].push_back(g);
+  }
+  int best_node = -1;
+  for (int n = 0; n < topology.num_nodes(); ++n) {
+    const auto free = free_by_node[static_cast<std::size_t>(n)].size();
+    if (free >= static_cast<std::size_t>(count) &&
+        (best_node < 0 || free < free_by_node[static_cast<std::size_t>(best_node)].size())) {
+      best_node = n;
+    }
+  }
+  std::vector<GpuId> out;
+  if (best_node >= 0) {
+    const auto& pool = free_by_node[static_cast<std::size_t>(best_node)];
+    out.assign(pool.begin(), pool.begin() + count);
+    return out;
+  }
+  std::vector<int> order(static_cast<std::size_t>(topology.num_nodes()));
+  for (int n = 0; n < topology.num_nodes(); ++n) order[static_cast<std::size_t>(n)] = n;
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    return free_by_node[static_cast<std::size_t>(a)].size() >
+           free_by_node[static_cast<std::size_t>(b)].size();
+  });
+  for (int n : order) {
+    for (GpuId g : free_by_node[static_cast<std::size_t>(n)]) {
+      if (static_cast<int>(out.size()) == count) return out;
+      out.push_back(g);
+    }
+  }
+  return out;
+}
+
+// The run-scanning pick_idle_gpus must choose exactly the GPUs of the
+// per-node-list reference, over seeded idle sets with down GPUs, on clusters
+// large enough (past std::sort's insertion-sort cutoff) that spill ties
+// between equally free nodes are broken by the sort itself.
+TEST(PickIdleGpus, EqualsReference) {
+  int best_fits = 0;
+  int spills = 0;
+  int too_few = 0;
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    cluster::TopologyConfig tc;
+    tc.num_nodes = static_cast<int>(rng.uniform_int(1, 40));
+    tc.gpus_per_node = static_cast<int>(rng.uniform_int(1, 8));
+    const cluster::Topology topo(tc);
+    cluster::Assignment a(topo.total_gpus());
+    const double busy = rng.uniform(0.0, 1.0);
+    for (GpuId g = 0; g < topo.total_gpus(); ++g) {
+      if (rng.bernoulli(0.1)) {
+        a.set_health(g, cluster::SlotHealth::Failed);
+      } else if (rng.bernoulli(busy)) {
+        a.place(g, 1, 8);
+      }
+    }
+    for (int count = 1; count <= 2 * tc.gpus_per_node + 2; ++count) {
+      const auto want = reference_pick_idle_gpus(a, topo, count);
+      EXPECT_EQ(pick_idle_gpus(a, topo, count), want) << "count " << count;
+      if (want.empty()) {
+        ++too_few;
+      } else if (topo.node_of(want.front()) == topo.node_of(want.back())) {
+        ++best_fits;
+      } else {
+        ++spills;
+      }
+    }
+  }
+  EXPECT_GT(best_fits, 100);
+  EXPECT_GT(spills, 100);
+  EXPECT_GT(too_few, 100);
 }
 
 TEST(ClusterState, AddJobAndRetireKeepTheListsInStep) {
@@ -573,6 +654,79 @@ TEST(Simulation, RejectsOversizedLocalBatches) {
   EXPECT_THROW(sim.run(), std::logic_error);
 }
 
+// validate() checks only the jobs a deployment starts or reconfigures. A
+// scheduler that keeps every live job as it is and breaks the per-job
+// contract for one more job must still be rejected, with that check's
+// message.
+class ContractBreaker : public Scheduler {
+ public:
+  enum class Breach { PlaceCompleted, PlaceUnarrived, ExceedBatchLimit };
+  ContractBreaker(Breach breach, JobId unarrived) : breach_(breach), unarrived_(unarrived) {}
+  std::string name() const override { return "ContractBreaker"; }
+  std::optional<cluster::Assignment> on_event(const ClusterState& state,
+                                              const SchedulerEvent& event) override {
+    const cluster::Assignment& live = *state.current;
+    JobId rogue = kInvalidJob;
+    if (breach_ == Breach::PlaceCompleted) {
+      for (const JobView* v : state.jobs()) {
+        if (v->status == JobStatus::Completed) rogue = v->spec.id;
+      }
+    } else if (breach_ == Breach::PlaceUnarrived && state.job(unarrived_) == nullptr) {
+      rogue = unarrived_;
+    }
+    if (rogue != kInvalidJob && live.idle_count() > 0) {
+      cluster::Assignment next = live;
+      next.place(live.idle_gpus().front(), rogue, 1);
+      return next;
+    }
+    if (breach_ == Breach::ExceedBatchLimit && !live.running_jobs().empty()) {
+      const JobId job = live.running_jobs().front();
+      cluster::Assignment next = live;
+      next.set_local_batch(live.worker_gpus(job).front(),
+                           state.job(job)->profile->max_local_batch + 1);
+      return next;
+    }
+    return fifo_.on_event(state, event);
+  }
+
+ private:
+  Breach breach_;
+  JobId unarrived_;
+  FifoScheduler fifo_;
+};
+
+/// The message of the std::logic_error a breaching run ends with ("" when
+/// the run completes).
+std::string breach_message(ContractBreaker::Breach breach) {
+  const auto trace = workload::generate_trace(small_trace_config(6));
+  const auto last = std::max_element(trace.begin(), trace.end(), [](const auto& a, const auto& b) {
+    return a.arrival_time_s < b.arrival_time_s;
+  });
+  ContractBreaker rogue(breach, last->id);
+  ClusterSimulation sim(small_sim_config(), trace, rogue);
+  try {
+    sim.run();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Simulation, RejectsPlacingACompletedJob) {
+  EXPECT_NE(breach_message(ContractBreaker::Breach::PlaceCompleted).find("completed job"),
+            std::string::npos);
+}
+
+TEST(Simulation, RejectsPlacingAJobThatHasNotArrived) {
+  EXPECT_NE(breach_message(ContractBreaker::Breach::PlaceUnarrived).find("not yet arrived"),
+            std::string::npos);
+}
+
+TEST(Simulation, RejectsReconfiguringAJobOverItsBatchLimit) {
+  EXPECT_NE(breach_message(ContractBreaker::Breach::ExceedBatchLimit).find("memory limit"),
+            std::string::npos);
+}
+
 TEST(Simulation, OracleHookReportsDecreasingRemaining) {
   // Exposed ground-truth hook must shrink as jobs progress.
   class Probe : public Scheduler {
@@ -666,50 +820,57 @@ class DigestingPolicy : public Scheduler {
 // faults (checkpoint restarts), killed jobs, and JobIds shuffled against
 // arrival order. The digest covers every slot array the policy deployed and
 // the bit patterns of the cluster, overhead, per-node and per-job joules.
+// The same world runs again under audit_incremental, which recomputes every
+// incremental index, the meter's draws and the live schedule's per-job
+// contract after each event, and must not change a decision or a joule.
 // Re-pin only for an intended decision or billing change.
 TEST(Tiresias, DecisionsArePinned) {
-  SimulationConfig config;
-  config.topology.num_nodes = 16;  // 64 GPUs
-  config.fault.gpu_mtbf_s = 20000.0;
-  config.fault.node_mtbf_s = 8000.0;
-  telemetry::MetricsRegistry registry;
-  config.metrics = &registry;
-  workload::TraceConfig tc;
-  tc.num_jobs = 240;
-  tc.mean_interarrival_s = 4.0;
-  tc.max_requested_gpus = 8;
-  tc.abnormal_fraction = 0.2;
-  tc.seed = 61;
-  auto trace = workload::generate_trace(tc);
-  std::vector<JobId> ids;
-  for (const auto& spec : trace) ids.push_back(spec.id);
-  Rng rng(5);
-  rng.shuffle(ids);
-  for (std::size_t i = 0; i < trace.size(); ++i) trace[i].id = ids[i];
+  for (const bool audit : {false, true}) {
+    SCOPED_TRACE(audit ? "audit_incremental" : "plain");
+    SimulationConfig config;
+    config.topology.num_nodes = 16;  // 64 GPUs
+    config.fault.gpu_mtbf_s = 20000.0;
+    config.fault.node_mtbf_s = 8000.0;
+    config.audit_incremental = audit;
+    telemetry::MetricsRegistry registry;
+    config.metrics = &registry;
+    workload::TraceConfig tc;
+    tc.num_jobs = 240;
+    tc.mean_interarrival_s = 4.0;
+    tc.max_requested_gpus = 8;
+    tc.abnormal_fraction = 0.2;
+    tc.seed = 61;
+    auto trace = workload::generate_trace(tc);
+    std::vector<JobId> ids;
+    for (const auto& spec : trace) ids.push_back(spec.id);
+    Rng rng(5);
+    rng.shuffle(ids);
+    for (std::size_t i = 0; i < trace.size(); ++i) trace[i].id = ids[i];
 
-  TiresiasScheduler tiresias;
-  DigestingPolicy policy(tiresias);
-  ClusterSimulation sim(config, trace, policy);
-  sim.run();
-  ASSERT_TRUE(sim.all_completed());
-  EXPECT_GT(registry.counter_value("fault_job_restarts_total"), 0.0);
-  EXPECT_GT(registry.counter_value("fault_gpu_down_total"), 0.0);
-  int killed = 0;
-  for (const auto& spec : trace) {
-    if (spec.kill_after_s > 0.0 && sim.metrics().job(spec.id).aborted) ++killed;
-  }
-  EXPECT_GT(killed, 0);
+    TiresiasScheduler tiresias;
+    DigestingPolicy policy(tiresias);
+    ClusterSimulation sim(config, trace, policy);
+    sim.run();
+    ASSERT_TRUE(sim.all_completed());
+    EXPECT_GT(registry.counter_value("fault_job_restarts_total"), 0.0);
+    EXPECT_GT(registry.counter_value("fault_gpu_down_total"), 0.0);
+    int killed = 0;
+    for (const auto& spec : trace) {
+      if (spec.kill_after_s > 0.0 && sim.metrics().job(spec.id).aborted) ++killed;
+    }
+    EXPECT_GT(killed, 0);
 
-  const energy::EnergyMeter& meter = sim.energy();
-  policy.mix_double(meter.cluster_joules());
-  policy.mix_double(meter.overhead_joules());
-  for (const double j : meter.joules_by_node()) policy.mix_double(j);
-  for (const auto& [job, j] : meter.joules_by_job()) {
-    policy.mix(static_cast<std::uint64_t>(job));
-    policy.mix_double(j);
+    const energy::EnergyMeter& meter = sim.energy();
+    policy.mix_double(meter.cluster_joules());
+    policy.mix_double(meter.overhead_joules());
+    for (const double j : meter.joules_by_node()) policy.mix_double(j);
+    for (const auto& [job, j] : meter.joules_by_job()) {
+      policy.mix(static_cast<std::uint64_t>(job));
+      policy.mix_double(j);
+    }
+    policy.mix(sim.deployments());
+    EXPECT_EQ(policy.digest(), 0xd8d2811447ef2cfdULL) << std::hex << "digest 0x" << policy.digest();
   }
-  policy.mix(sim.deployments());
-  EXPECT_EQ(policy.digest(), 0xd8d2811447ef2cfdULL) << std::hex << "digest 0x" << policy.digest();
 }
 
 TEST(Optimus, PredictsFromPriorWithoutHistory) {
